@@ -15,7 +15,7 @@ An AST-based lint engine (stdlib only) with three rule families:
 On top of the per-file families, :mod:`repro.checks.flow` adds
 project-wide dataflow analyses (symbol table + call graph + CFGs):
 **dimensional flow** (``F6xx``), **determinism taint** (``T7xx``) and
-the **fast-path parity audit** (``S8xx``).
+the **backend phase-structure check** (``S803``).
 
 Run as ``python -m repro.checks src/repro`` or via the ``sirius-lint``
 console script; suppress an intentional finding with a trailing

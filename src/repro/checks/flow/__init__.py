@@ -9,8 +9,8 @@ control-flow graphs (:mod:`.cfg`) and a small forward-dataflow framework
   cross-function dimension-mismatch detection;
 * ``T7xx`` (:mod:`.taint_rules`) — determinism taint: can wall-clock /
   entropy / hash-order nondeterminism reach a simulation run?
-* ``S8xx`` (:mod:`.parity_rules`) — fast-path/reference-path parity:
-  do both sides of every ``if fast:`` split touch the same state?
+* ``S803`` (:mod:`.parity_rules`) — backend phase structure: do the
+  cell simulator's epoch loops profile one phase vocabulary?
 """
 
 from repro.checks.flow.cfg import CFG, build_cfg
@@ -23,7 +23,7 @@ from repro.checks.flow.dimension_rules import (
     DIMENSION_FLOW_RULES,
     DimensionInference,
 )
-from repro.checks.flow.parity_rules import PARITY_RULES, ParityAudit
+from repro.checks.flow.parity_rules import PARITY_RULES
 from repro.checks.flow.project import FunctionInfo, Project
 from repro.checks.flow.taint_rules import TAINT_FLOW_RULES, TaintAnalysis
 
@@ -38,7 +38,6 @@ __all__ = [
     "ForwardAnalysis",
     "FunctionInfo",
     "PARITY_RULES",
-    "ParityAudit",
     "Project",
     "ReachingDefinitions",
     "TAINT_FLOW_RULES",

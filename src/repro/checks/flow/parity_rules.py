@@ -1,449 +1,45 @@
-"""Fast-path parity-audit rules (family ``S8``) for
+"""Backend phase-structure rule (family ``S8``) for
 :mod:`repro.checks.flow`.
 
-The simulators keep two epoch-loop strategies — the sparse **fast
-path** and the all-nodes **reference path** — with a bit-identical
-guarantee enforced dynamically by ``tests/core/
-test_fast_path_equivalence.py``.  These rules enforce its static
-shadow: inside every ``if fast: ... else: ...`` split (and one-sided
-``if fast:`` / ``if not fast:`` guard), the two sides must touch the
-same *shared* simulation state.
-
-For each gated region the audit collects **state-touch signatures**:
-attribute/subscript assignments and method calls through a receiver
-(``nodes[src].grant_inbox.append``, ``node.decide_grants``), with
-receiver roots resolved through local aliases (``node = nodes[idx]``
-and ``for node in nodes:`` both root at ``nodes``), so the fast path's
-indexed access and the reference path's iteration compare equal.  Then:
-
-* ``S801 fastpath-only-state`` — a signature on the fast side only;
-* ``S802 reference-only-state`` — a signature on the reference side
-  only.
-
-Two exemptions keep the audit quiet on the *designed* asymmetries:
-
-* **bookkeeping roots** — receivers mutated exclusively in fast-gated
-  code anywhere in the function (the active sets, ``popped``, …) exist
-  only to drive the sparse iteration and have no reference-path
-  counterpart; a nested function whose every call site is fast-gated
-  counts as fast-gated code;
-* **observability roots** (``tracer``, ``profiler``, ``registry``,
-  ``telemetry``, ``obs``) — never simulation state.
-
-Deliberate compensation logic (``catch_up_history`` replaying a deque
-rotation a just-activated node missed) is a *true* positive: annotate
-it with ``# lint: ignore[S801]`` where it happens, which is exactly the
-documentation the asymmetry deserves.  Expression-level ``A if fast
-else B`` conditionals are not audited: they produce values rather than
-statements, and their calls are value reads on both paths.
-
-The ``vectorized`` backend generalized the two-strategy split into a
-whole separate epoch loop, so a third rule audits structure across
-loops rather than across branches:
+The cell simulator keeps two epoch loops — the all-nodes ``reference``
+loop and the numpy-slab ``vectorized`` engine — bound by a
+bit-identical-results contract that the seeded parity suite enforces
+dynamically.  This rule audits their structure statically:
 
 * ``S803 backend-phase-structure`` — every cell-simulator epoch loop
   (any function whose literal ``.lap("<phase>")`` labels include
   ``deliver`` and ``transmit``) must profile the same phase-label
   vocabulary as its sibling loops, keeping the per-phase bench
   comparison meaningful.
+
+The state the loops touch is audited by the ``W14xx`` family
+(:mod:`repro.checks.state.parity_rules`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.checks.engine import Finding, ProjectRule
 from repro.checks.flow.project import FunctionInfo, Project
 
-__all__ = [
-    "PARITY_RULES",
-    "BackendPhaseStructureRule",
-    "FastPathOnlyStateRule",
-    "ReferenceOnlyStateRule",
-    "ParityAudit",
-]
-
-#: Local names treated as the fast-path flag in ``if`` tests.
-_FAST_NAMES = frozenset({"fast", "fast_path", "use_fast_path"})
-
-#: Receiver roots that are observability, never simulation state.
-_OBS_ROOTS = frozenset({"tracer", "profiler", "registry", "telemetry",
-                        "obs"})
-
-#: Container methods that mutate their receiver (used to classify a
-#: signature as a mutation for the bookkeeping exemption; *all* method
-#: calls participate in the parity diff itself).
-_MUTATOR_METHODS = frozenset({
-    "append", "appendleft", "extend", "extendleft", "add", "discard",
-    "remove", "pop", "popleft", "popitem", "clear", "update", "insert",
-    "setdefault", "sort", "reverse",
-})
-
-
-def _is_fast_test(test: ast.AST) -> Optional[bool]:
-    """True for a fast-side test, False for reference-side, None neither.
-
-    Recognizes ``fast``, ``self.fast_path``, ``not fast``, and ``and``
-    conjunctions containing one of those (``if announced and fast:``).
-    """
-    if isinstance(test, ast.Name) and test.id in _FAST_NAMES:
-        return True
-    if isinstance(test, ast.Attribute) and test.attr == "fast_path":
-        return True
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        inner = _is_fast_test(test.operand)
-        return (not inner) if inner is not None else None
-    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        for value in test.values:
-            side = _is_fast_test(value)
-            if side is not None:
-                return side
-    return None
-
-
-@dataclass
-class _GatedRegion:
-    """One fast/reference split inside a function."""
-
-    node: ast.If
-    fast_body: List[ast.stmt]
-    ref_body: List[ast.stmt]
-
-
-@dataclass
-class _Touch:
-    """One state-touch occurrence: resolved signature + AST anchor."""
-
-    signature: str
-    root: str
-    node: ast.AST
-    is_mutation: bool
-
-
-class _FunctionAudit:
-    """Parity analysis of one function's fast/reference regions."""
-
-    def __init__(self, project: Project, info: FunctionInfo) -> None:
-        self.project = project
-        self.info = info
-        self.aliases = self._local_aliases(info.node)
-        self.regions = self._find_regions(info.node)
-        self.nested_side = self._nested_sides(info)
-        self.fast_only_roots, self.ref_only_roots = self._bookkeeping_roots()
-
-    # -- alias resolution ----------------------------------------------------
-    @staticmethod
-    def _unwrap_iter(expr: ast.AST) -> ast.AST:
-        """Strip ``sorted(...)``/``list(...)``-style wrappers off an iterable."""
-        while (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
-               and expr.func.id in ("sorted", "list", "tuple", "reversed",
-                                    "iter", "enumerate")
-               and expr.args):
-            expr = expr.args[0]
-        return expr
-
-    def _local_aliases(self, fn: ast.AST) -> Dict[str, str]:
-        """name → root name it aliases (``node = nodes[idx]`` → nodes)."""
-        aliases: Dict[str, str] = {}
-        for stmt in ast.walk(fn):
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and (
-                    isinstance(stmt.targets[0], ast.Name)):
-                root = self._expr_root(stmt.value, aliases)
-                if root is not None:
-                    aliases[stmt.targets[0].id] = root
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)) and isinstance(
-                    stmt.target, ast.Name):
-                root = self._expr_root(self._unwrap_iter(stmt.iter), aliases)
-                if root is not None:
-                    aliases[stmt.target.id] = root
-        return aliases
-
-    def _expr_root(self, expr: ast.AST,
-                   aliases: Dict[str, str]) -> Optional[str]:
-        if isinstance(expr, ast.Name):
-            return aliases.get(expr.id, expr.id)
-        if isinstance(expr, ast.Subscript):
-            return self._expr_root(expr.value, aliases)
-        return None
-
-    def resolve_root(self, name: str) -> str:
-        seen = set()
-        while name in self.aliases and name not in seen:
-            seen.add(name)
-            nxt = self.aliases[name]
-            if nxt == name:
-                break
-            name = nxt
-        return name
-
-    # -- regions -------------------------------------------------------------
-    def _find_regions(self, fn: ast.AST) -> List[_GatedRegion]:
-        regions = []
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.If):
-                continue
-            side = _is_fast_test(node.test)
-            if side is None:
-                continue
-            fast_body = node.body if side else node.orelse
-            ref_body = node.orelse if side else node.body
-            regions.append(_GatedRegion(node=node, fast_body=list(fast_body),
-                                        ref_body=list(ref_body)))
-        return regions
-
-    def _nested_sides(self, info: FunctionInfo) -> Dict[str, Optional[bool]]:
-        """Nested function name → True (fast-only call sites) / False /
-        None (mixed, unconditioned, or uncalled)."""
-        fast_stmts = self._side_statement_ids(fast=True)
-        ref_stmts = self._side_statement_ids(fast=False)
-        sides: Dict[str, Optional[bool]] = {}
-        nested_names = {
-            stmt.name for stmt in info.node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if not nested_names:
-            return sides
-        calls: Dict[str, List[ast.AST]] = {name: []
-                                           for name in sorted(nested_names)}
-        for node in self.project._own_nodes(info):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in nested_names):
-                calls[node.func.id].append(node)
-        for name, sites in calls.items():
-            if not sites:
-                sides[name] = None
-                continue
-            in_fast = [self._covering_side(site, fast_stmts, ref_stmts)
-                       for site in sites]
-            if all(side is True for side in in_fast):
-                sides[name] = True
-            elif all(side is False for side in in_fast):
-                sides[name] = False
-            else:
-                sides[name] = None
-        return sides
-
-    def _side_statement_ids(self, fast: bool) -> Set[int]:
-        ids: Set[int] = set()
-        for region in self.regions:
-            body = region.fast_body if fast else region.ref_body
-            for stmt in body:
-                for node in ast.walk(stmt):
-                    ids.add(id(node))
-        return ids
-
-    @staticmethod
-    def _covering_side(node: ast.AST, fast_ids: Set[int],
-                       ref_ids: Set[int]) -> Optional[bool]:
-        if id(node) in fast_ids:
-            return True
-        if id(node) in ref_ids:
-            return False
-        return None
-
-    # -- touch extraction ----------------------------------------------------
-    def _attribute_path(self, expr: ast.AST) -> Optional[Tuple[str, str]]:
-        """(root, dotted-path) of an attribute chain, subscripts skipped."""
-        parts: List[str] = []
-        node = expr
-        while True:
-            if isinstance(node, ast.Attribute):
-                parts.append(node.attr)
-                node = node.value
-            elif isinstance(node, ast.Subscript):
-                node = node.value
-            elif isinstance(node, ast.Name):
-                root = self.resolve_root(node.id)
-                parts.append(root)
-                parts.reverse()
-                return root, ".".join(parts)
-            else:
-                return None
-
-    @staticmethod
-    def _walk_skip_nested(statements: List[ast.stmt]) -> Iterator[ast.AST]:
-        """Walk statements without descending into nested defs/classes
-        (closures are accounted for separately, by call-site side)."""
-        stack: List[ast.AST] = list(statements)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef, ast.Lambda)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def touches_in(self, statements: List[ast.stmt]) -> List[_Touch]:
-        touches: List[_Touch] = []
-        for node in self._walk_skip_nested(statements):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        resolved = self._attribute_path(target)
-                        if resolved is not None:
-                            root, path = resolved
-                            touches.append(_Touch(
-                                signature=path + " =", root=root,
-                                node=target, is_mutation=True))
-            elif isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Attribute):
-                resolved = self._attribute_path(node.func)
-                if resolved is not None:
-                    root, path = resolved
-                    method = node.func.attr
-                    touches.append(_Touch(
-                        signature=path + "()", root=root, node=node,
-                        is_mutation=method in _MUTATOR_METHODS
-                        or self._is_project_method(method)))
-        return touches
-
-    def _is_project_method(self, method: str) -> bool:
-        """A project-defined method call may mutate its receiver."""
-        return method in self.project.methods_by_name
-
-    # -- bookkeeping ---------------------------------------------------------
-    def _parameter_roots(self) -> Set[str]:
-        """Receiver roots that carry *shared* state into the function."""
-        args = self.info.node.args
-        roots = {a.arg for a in (*args.posonlyargs, *args.args,
-                                 *args.kwonlyargs)}
-        for extra in (args.vararg, args.kwarg):
-            if extra is not None:
-                roots.add(extra.arg)
-        return roots
-
-    def _bookkeeping_roots(self) -> Tuple[Set[str], Set[str]]:
-        """Function-local roots mutated exclusively on one side.
-
-        Only *locals* qualify: a set created inside the function to
-        drive the sparse iteration (``active = set()``) has no
-        reference-path counterpart by design, but state reaching the
-        function through a parameter or ``self`` is shared with the
-        other path and one-sided mutation of it is exactly the bug."""
-        fast_ids = self._side_statement_ids(fast=True)
-        ref_ids = self._side_statement_ids(fast=False)
-        mutated_fast: Set[str] = set()
-        mutated_ref: Set[str] = set()
-        mutated_neutral: Set[str] = set()
-
-        def classify(info: FunctionInfo, side_override: Optional[bool],
-                     ) -> None:
-            for touch in self.touches_in(list(info.node.body)):
-                if not touch.is_mutation:
-                    continue
-                side = (side_override if side_override is not None
-                        else self._covering_side(touch.node, fast_ids,
-                                                 ref_ids))
-                if side is True:
-                    mutated_fast.add(touch.root)
-                elif side is False:
-                    mutated_ref.add(touch.root)
-                else:
-                    mutated_neutral.add(touch.root)
-
-        classify(self.info, None)
-        for stmt in self.info.node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested = self.project.functions.get(
-                    f"{self.info.qualname}.{stmt.name}")
-                if nested is not None:
-                    classify(nested, self.nested_side.get(stmt.name))
-        shared_in = self._parameter_roots()
-        fast_only = mutated_fast - mutated_ref - mutated_neutral - shared_in
-        ref_only = mutated_ref - mutated_fast - mutated_neutral - shared_in
-        return fast_only, ref_only
-
-    # -- the diff ------------------------------------------------------------
-    def diff_regions(self) -> Iterator[Tuple[ast.If, str, _Touch, bool]]:
-        """Yield (region-if, signature, anchoring touch, fast_only)."""
-        exempt_roots = (self.fast_only_roots | self.ref_only_roots
-                        | _OBS_ROOTS)
-        for region in self.regions:
-            fast_touches = self._expand(region.fast_body, fast=True)
-            ref_touches = self._expand(region.ref_body, fast=False)
-            # Only *mutating* touches are diffed: the fast path reading
-            # less state than the reference scan is its entire point.
-            fast_sigs = {t.signature: t for t in fast_touches
-                         if t.is_mutation and t.root not in exempt_roots}
-            ref_sigs = {t.signature: t for t in ref_touches
-                        if t.is_mutation and t.root not in exempt_roots}
-            for signature in sorted(set(fast_sigs) - set(ref_sigs)):
-                yield region.node, signature, fast_sigs[signature], True
-            for signature in sorted(set(ref_sigs) - set(fast_sigs)):
-                yield region.node, signature, ref_sigs[signature], False
-
-    def _expand(self, body: List[ast.stmt], fast: bool) -> List[_Touch]:
-        """Touches of a region side, including same-side nested closures."""
-        touches = self.touches_in(body)
-        called_here = {
-            node.func.id
-            for stmt in body for node in ast.walk(stmt)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        }
-        for stmt in self.info.node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and stmt.name in called_here \
-                    and self.nested_side.get(stmt.name) == fast:
-                nested = self.project.functions.get(
-                    f"{self.info.qualname}.{stmt.name}")
-                if nested is not None:
-                    touches.extend(self.touches_in(list(nested.node.body)))
-        return touches
-
-
-class ParityAudit:
-    """Shared fast/reference parity audit for one :class:`Project`."""
-
-    def __init__(self, project: Project) -> None:
-        self.project = project
-        #: (function, region-if node, signature, anchor touch, fast_only)
-        self.divergences: List[Tuple[FunctionInfo, ast.If, str, _Touch,
-                                     bool]] = []
-        for info in project.functions.values():
-            audit = _FunctionAudit(project, info)
-            if not audit.regions:
-                continue
-            for node, signature, touch, fast_only in audit.diff_regions():
-                self.divergences.append((info, node, signature, touch,
-                                         fast_only))
-
-
-class _ParityRule(ProjectRule):
-    fast_only: bool = True
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        audit = project.shared(ParityAudit)
-        for info, _region, signature, touch, fast_only in audit.divergences:
-            if fast_only != self.fast_only:
-                continue
-            side, other = (("fast", "reference") if fast_only
-                           else ("reference", "fast"))
-            yield self.finding(
-                info.ctx, touch.node,
-                f"{signature} is touched on the {side} path only in "
-                f"{info.short}; the {other} path's side of this "
-                "fast/reference split never touches it",
-            )
+__all__ = ["PARITY_RULES", "BackendPhaseStructureRule"]
 
 
 class BackendPhaseStructureRule(ProjectRule):
     """Every cell-simulator epoch loop must profile the same phases.
 
-    The backends (``reference``/``fast`` share a loop; ``vectorized``
-    has its own) are kept comparable phase by phase: the per-phase
-    wall-clock split in ``BENCH_<date>.json`` and the profiling docs
-    assume one label vocabulary.  An *epoch loop* here is any function
+    The backends (the ``reference`` loop and the ``vectorized`` engine)
+    are kept comparable phase by phase: the per-phase wall-clock split
+    in ``BENCH_<date>.json`` and the profiling docs assume one label
+    vocabulary.  An *epoch loop* here is any function
     whose literal ``.lap("<phase>")`` labels include the core
     ``deliver`` and ``transmit`` pair — which selects the cell
     simulators and leaves the fluid loops
-    (``advance``/``recompute``/``settle``) alone.  A loop missing a label its sibling backends profile has
-    either dropped a phase or renamed it; both break the cross-backend
-    comparison.
+    (``advance``/``recompute``/``settle``) alone.  A loop missing a
+    label its sibling backends profile has either dropped a phase or
+    renamed it; both break the cross-backend comparison.
     """
 
     code = "S803"
@@ -485,21 +81,4 @@ class BackendPhaseStructureRule(ProjectRule):
                 )
 
 
-class FastPathOnlyStateRule(_ParityRule):
-    code = "S801"
-    name = "fastpath-only-state"
-    description = ("shared state touched on the fast path but not the "
-                   "reference path of a fast/reference split")
-    fast_only = True
-
-
-class ReferenceOnlyStateRule(_ParityRule):
-    code = "S802"
-    name = "reference-only-state"
-    description = ("shared state touched on the reference path but not "
-                   "the fast path of a fast/reference split")
-    fast_only = False
-
-
-PARITY_RULES = [FastPathOnlyStateRule(), ReferenceOnlyStateRule(),
-                BackendPhaseStructureRule()]
+PARITY_RULES = [BackendPhaseStructureRule()]

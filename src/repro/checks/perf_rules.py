@@ -1,6 +1,6 @@
 """Performance lint rules (family ``P``).
 
-The fast-path work in :mod:`repro.core` exists because a handful of
+The performance work in :mod:`repro.core` exists because a handful of
 accidentally-quadratic idioms dominated the epoch loop's profile:
 ``list.pop(0)`` shifting every element on each call, and fresh
 ``list(...)`` snapshots of containers taken inside per-epoch loops.

@@ -30,7 +30,7 @@ live under :mod:`repro.checks.flow`.  The recipe:
    the anchoring line, even for findings whose cause is in another
    file;
 5. give the rule a code in the flow ranges (``F6xx`` dimensions,
-   ``T7xx`` determinism taint, ``S8xx`` fast-path parity, ``C9xx``
+   ``T7xx`` determinism taint, ``S8xx`` backend phase structure, ``C9xx``
    concurrency, ``B10xx`` async-blocking, ``K11xx`` pickle-safety,
    ``M12xx`` snapshot-completeness, ``N13xx`` protocol-conformance,
    ``W14xx`` backend state parity, or a new family), append the

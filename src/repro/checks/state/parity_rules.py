@@ -4,7 +4,7 @@
 ``S803`` keeps sibling backend loops honest about their *phase
 structure*; this family extends the audit to the **state they touch**.
 The cell simulator's epoch loops (``SiriusNetwork.run`` for
-reference/fast, ``VectorizedEngine.run``) and the fluid simulator's
+reference, ``VectorizedEngine.run``) and the fluid simulator's
 event loops (``_loop_reference`` / ``_loop_incremental``) are each
 bound by a bit-identical-results contract, enforced dynamically by the
 seeded equivalence suites.  The static shadow enforced here: a backend

@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="epochs between queue-gauge samples (default 4)")
     sim.add_argument("--backend", choices=BACKENDS, default=None,
                      help="epoch-loop backend (default: REPRO_BACKEND "
-                          "or 'fast'; 'vectorized' for paper-scale runs)")
+                          "or 'vectorized'; 'reference' is the all-nodes "
+                          "oracle)")
 
     cmp_ = sub.add_parser("compare", help="Sirius vs ESN baselines")
     cmp_.add_argument("--nodes", type=int, default=32)

@@ -14,8 +14,10 @@ Module map:
 * :mod:`repro.core.network` — the epoch-synchronous simulator that ties
   it all together and produces the §7 metrics.
 * :mod:`repro.core.backend` / :mod:`repro.core.vectorized` — the
-  selectable epoch-loop strategies (``reference``/``fast``/
-  ``vectorized``) and the numpy-slab engine behind the third.
+  selectable epoch-loop strategies (``reference``/``vectorized``) and
+  the numpy-slab engine behind the default.
+* :mod:`repro.core.ledger` — the per-run flow table, delivery, failure
+  handling and result every cell engine drives.
 """
 
 from repro.core.backend import BACKEND_ENV, BACKENDS, resolve_backend

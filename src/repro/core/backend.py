@@ -1,38 +1,31 @@
-"""Backend selection for the cell simulator's epoch loop.
+"""Backend selection for the cell and fluid simulators' main loops.
 
-:class:`repro.core.network.SiriusNetwork` keeps three interchangeable
+:class:`repro.core.network.SiriusNetwork` keeps two interchangeable
 execution strategies for the same protocol state machine:
 
-* ``reference`` — the straightforward all-nodes loop every other
-  backend is validated against;
-* ``fast`` — sparse active-set iteration with slab cell admission
-  (see :mod:`repro.core.fastpath`), the long-standing default;
-* ``vectorized`` — :mod:`repro.core.vectorized`: per-node depth slabs
-  and activity masks in numpy, closed-form grant admission and
-  idle-epoch skipping, built for paper-scale (512–4096 node) runs.
+* ``reference`` — the straightforward all-nodes loop, the oracle the
+  other engine is validated against;
+* ``vectorized`` (default) — :mod:`repro.core.vectorized`: activity
+  masks and depth slabs in numpy, closed-form grant admission and
+  idle-epoch skipping.
 
-All three are bit-identical on seeded runs — the three-way parity
-suite (``tests/core/test_fast_path_equivalence.py``) pins the exact
+Both drive one :class:`repro.core.ledger.RunLedger` and are
+bit-identical on seeded runs — the parity suite
+(``tests/core/test_fast_path_equivalence.py``) pins the exact
 ``SimulationResult`` across them for every congestion and failure
 configuration the simulator supports.
 
 Resolution order for the effective backend:
 
 1. an explicit ``backend=`` constructor argument;
-2. an explicit legacy ``fast_path=`` argument (``True`` → ``fast``,
-   ``False`` → ``reference``);
-3. the ``REPRO_BACKEND`` environment variable;
-4. the legacy ``REPRO_FAST_PATH`` environment variable (off values
-   select ``reference``, anything else ``fast``);
-5. the ``fast`` backend.
+2. the ``REPRO_BACKEND`` environment variable;
+3. the default (``vectorized`` for cells, ``incremental`` for fluid).
 """
 
 from __future__ import annotations
 
 import os
 from typing import Optional, Protocol, Sequence
-
-from repro.core.fastpath import FAST_PATH_ENV, _OFF_VALUES
 
 __all__ = ["BACKENDS", "BACKEND_ENV", "EpochEngine", "FLUID_BACKENDS",
            "resolve_backend", "resolve_fluid_backend"]
@@ -41,13 +34,13 @@ __all__ = ["BACKENDS", "BACKEND_ENV", "EpochEngine", "FLUID_BACKENDS",
 class EpochEngine(Protocol):
     """The contract every epoch-loop strategy implements.
 
-    :class:`repro.core.network.SiriusNetwork` (the ``reference`` and
-    ``fast`` loops) and :class:`repro.core.vectorized.VectorizedEngine`
-    both satisfy this surface; the three-way parity suite pins their
-    results bit-identical.  Annotations stay loose because this module
-    sits below :mod:`repro.core.network` in the import order — ``flows``
-    is a sorted sequence of :class:`repro.core.cell.Flow` and the return
-    value a :class:`repro.core.network.SimulationResult`.
+    :class:`repro.core.network.SiriusNetwork` (the ``reference`` loop)
+    and :class:`repro.core.vectorized.VectorizedEngine` both satisfy
+    this surface; the parity suite pins their results bit-identical.
+    Annotations stay loose because this module sits below the engines
+    in the import order — ``flows`` is a sorted sequence of
+    :class:`repro.core.cell.Flow` and the return value a
+    :class:`repro.core.ledger.SimulationResult`.
     """
 
     def run(self, flows: Sequence, *,
@@ -62,7 +55,7 @@ class EpochEngine(Protocol):
         ...
 
 #: The selectable epoch-loop strategies, in reference-first order.
-BACKENDS = ("reference", "fast", "vectorized")
+BACKENDS = ("reference", "vectorized")
 
 #: The fluid simulator's event-loop strategies (see
 #: :mod:`repro.sim.fluid`): the from-scratch ``reference`` rebuild and
@@ -73,75 +66,50 @@ FLUID_BACKENDS = ("reference", "incremental")
 BACKEND_ENV = "REPRO_BACKEND"
 
 
-def resolve_backend(backend: Optional[str] = None,
-                    fast_path: Optional[bool] = None) -> str:
-    """Resolve the effective backend name for one simulator instance.
-
-    ``backend`` (a constructor argument) wins, then the legacy
-    ``fast_path`` boolean, then ``REPRO_BACKEND``, then the legacy
-    ``REPRO_FAST_PATH`` variable, then the ``fast`` default.  Raises
-    ``ValueError`` for names outside :data:`BACKENDS`.
-    """
+def _resolve(backend: Optional[str], names: Sequence[str], default: str,
+             kind: str) -> str:
+    """``backend`` if given, else ``REPRO_BACKEND``, else ``default``."""
     if backend is not None:
         name = backend.strip().lower()
-        if name not in BACKENDS:
+        if name not in names:
             raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
+                f"unknown {kind}backend {backend!r}; expected one of {names}"
             )
         return name
-    if fast_path is not None:
-        return "fast" if fast_path else "reference"
     env = os.environ.get(BACKEND_ENV)
     if env is not None and env.strip():
         name = env.strip().lower()
-        if name not in BACKENDS:
+        if name not in names:
             raise ValueError(
                 f"{BACKEND_ENV}={env!r} is not a backend; "
-                f"expected one of {BACKENDS}"
+                f"expected one of {names}"
             )
         return name
-    legacy = os.environ.get(FAST_PATH_ENV)
-    if legacy is not None:
-        return ("reference" if legacy.strip().lower() in _OFF_VALUES
-                else "fast")
-    return "fast"
+    return default
 
 
-def resolve_fluid_backend(backend: Optional[str] = None,
-                          fast_path: Optional[bool] = None) -> str:
+def resolve_backend(backend: Optional[str] = None) -> str:
+    """Resolve the cell simulator's epoch-loop strategy.
+
+    ``backend`` (a constructor argument) wins, then ``REPRO_BACKEND``,
+    then the ``vectorized`` default.  Raises ``ValueError`` for names
+    outside :data:`BACKENDS`.
+    """
+    return _resolve(backend, BACKENDS, "vectorized", "")
+
+
+def resolve_fluid_backend(backend: Optional[str] = None) -> str:
     """Resolve the fluid simulator's event-loop strategy.
 
-    Same precedence ladder as :func:`resolve_backend`, mapped onto the
-    fluid simulator's two strategies: an explicit ``backend=`` wins,
-    then the legacy ``fast_path`` boolean (``True`` → ``incremental``,
-    ``False`` → ``reference``), then ``REPRO_BACKEND`` (``reference``
-    selects the reference loop; any other known backend name —
-    ``incremental``, or the cell simulator's ``fast``/``vectorized``,
-    so one environment variable steers both simulators — selects the
-    incremental engine), then ``REPRO_FAST_PATH``, then the
-    ``incremental`` default.
+    Same precedence as :func:`resolve_backend`: an explicit
+    ``backend=`` (one of :data:`FLUID_BACKENDS`) wins, then
+    ``REPRO_BACKEND`` — ``reference`` selects the reference loop and
+    any other known name, ``incremental`` or the cell simulator's
+    ``vectorized``, selects the incremental engine, so one environment
+    variable steers both simulators — then the ``incremental`` default.
     """
     if backend is not None:
-        name = backend.strip().lower()
-        if name not in FLUID_BACKENDS:
-            raise ValueError(
-                f"unknown fluid backend {backend!r}; "
-                f"expected one of {FLUID_BACKENDS}"
-            )
-        return name
-    if fast_path is not None:
-        return "incremental" if fast_path else "reference"
-    env = os.environ.get(BACKEND_ENV)
-    if env is not None and env.strip():
-        name = env.strip().lower()
-        if name not in FLUID_BACKENDS and name not in BACKENDS:
-            raise ValueError(
-                f"{BACKEND_ENV}={env!r} is not a backend; expected one "
-                f"of {FLUID_BACKENDS} or {BACKENDS}"
-            )
-        return "reference" if name == "reference" else "incremental"
-    legacy = os.environ.get(FAST_PATH_ENV)
-    if legacy is not None:
-        return ("reference" if legacy.strip().lower() in _OFF_VALUES
-                else "incremental")
-    return "incremental"
+        return _resolve(backend, FLUID_BACKENDS, "incremental", "fluid ")
+    known = tuple(dict.fromkeys(FLUID_BACKENDS + BACKENDS))
+    name = _resolve(None, known, "incremental", "")
+    return "reference" if name == "reference" else "incremental"

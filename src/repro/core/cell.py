@@ -44,8 +44,7 @@ def cell_range(flow: "Flow", start: int, stop: int) -> List[Cell]:
 
     The flow's identity fields (``flow_id``, ``src``, ``dst``) are
     constant across the slab; only ``seq`` varies.  ``map`` drives the
-    construction loop in C, which is what makes bulk admission cheap on
-    the simulator's fast path.
+    construction loop in C, which is what makes bulk admission cheap.
     """
     return list(map(Cell, repeat(flow.flow_id), range(start, stop),
                     repeat(flow.src), repeat(flow.dst)))

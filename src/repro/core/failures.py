@@ -85,6 +85,11 @@ class FailurePlan:
     def is_failed(self, node: int) -> bool:
         return node in self.failed
 
+    @property
+    def started(self) -> bool:
+        """True once an event has fired: the plan is spent for new runs."""
+        return self._index > 0
+
     def next_event_epoch(self) -> Optional[int]:
         """Epoch of the next unfired event, or None when exhausted.
 

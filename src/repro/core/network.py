@@ -27,128 +27,35 @@ per-pair capacity of epoch ``e`` is ``floor((e+1)m) − floor(em)``
 ``ceil(m)`` uplink replicas.
 
 The epoch loop is pluggable (see :mod:`repro.core.backend`): the
-``reference`` backend is the straightforward all-nodes loop below; the
-default ``fast`` backend iterates only the nodes with live state —
-active sets track who has control-plane work, pending grants, queued
-cells or server-side backlog — and admits cells in slabs, so an epoch
-costs time proportional to activity rather than to ``n_nodes``; the
-``vectorized`` backend (:mod:`repro.core.vectorized`) replaces the
-active sets with numpy masks and depth slabs, collapses grant
-admission to a closed form and skips fully-idle epochs outright, for
-paper-scale (512–4096 node) runs.  All backends produce bit-identical
-seeded results because a skipped node performs no work and consumes no
-randomness (every per-node phase operation early-returns before its
-first RNG draw when the node is idle).
+``reference`` backend is the straightforward all-nodes loop below, the
+oracle every other engine is validated against; the default
+``vectorized`` backend (:mod:`repro.core.vectorized`) keeps activity
+masks and depth slabs in numpy, visits only nodes with live state,
+collapses grant admission to a closed form and skips fully-idle epochs
+outright.  Both drive one :class:`repro.core.ledger.RunLedger` — flow
+table, delivery, failure handling, counters and result — and keep only
+their phase iteration, request/grant and transmit code.  They produce
+bit-identical seeded results because a skipped node performs no work
+and consumes no randomness (every per-node phase operation
+early-returns before its first RNG draw when the node is idle).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.backend import EpochEngine, resolve_backend
-from repro.core.cell import Cell, Flow, cell_range
+from repro.core.cell import Flow
 from repro.core.congestion import CongestionConfig
 from repro.core.failures import FailurePlan
+from repro.core.ledger import RunLedger, SimulationResult
 from repro.core.node import SiriusNode
 from repro.core.telemetry import Telemetry
 from repro.core.schedule import CyclicSchedule, SlotTiming
 from repro.obs.observation import NULL_OBS, Observation
 from repro.topology.sirius import SiriusTopology
-from repro.units import KILOBYTE
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of one :meth:`SiriusNetwork.run`.
-
-    All byte/bit quantities are application payload (goodput), matching
-    the paper's server-goodput metric.
-    """
-
-    flows: List[Flow]
-    epochs: int
-    duration_s: float
-    delivered_bits: float
-    offered_bits: float
-    #: Node bandwidth used for goodput normalization: the ESN-equivalent
-    #: (multiplier-1) uplink bandwidth, as in Fig 9b.
-    reference_node_bandwidth_bps: float
-    n_nodes: int
-    cell_bytes: float
-    peak_fwd_cells: int
-    peak_local_cells: int
-    peak_reorder_cells: int
-    config: CongestionConfig
-    #: Flows terminated by node failures (source or destination died).
-    failed_flows: int = 0
-    #: Cells lost to failed nodes and retransmitted by their sources.
-    retransmitted_cells: int = 0
-
-    # -- derived metrics -----------------------------------------------------
-    @property
-    def normalized_goodput(self) -> float:
-        """Delivered bits / (duration × nodes × reference bandwidth)."""
-        capacity = self.duration_s * self.n_nodes * (
-            self.reference_node_bandwidth_bps
-        )
-        return self.delivered_bits / capacity if capacity else 0.0
-
-    @property
-    def completed_flows(self) -> List[Flow]:
-        return [f for f in self.flows if f.is_complete]
-
-    @property
-    def delivered_cells(self) -> int:
-        """Cells delivered across all flows (the bench throughput unit)."""
-        return sum(f.delivered_cells for f in self.flows)
-
-    def fcts(self, max_size_bits: Optional[float] = None,
-             min_size_bits: Optional[float] = None) -> List[float]:
-        """Completion times of completed flows, optionally size-filtered."""
-        out = []
-        for flow in self.flows:
-            if flow.completion_time is None:
-                continue
-            if max_size_bits is not None and flow.size_bits >= max_size_bits:
-                continue
-            if min_size_bits is not None and flow.size_bits < min_size_bits:
-                continue
-            out.append(flow.fct)
-        return out
-
-    def fct_percentile(self, percentile: float,
-                       max_size_bits: Optional[float] = 100 * KILOBYTE
-                       ) -> Optional[float]:
-        """FCT percentile of "short" flows (default < 100 KB, as Fig 9a)."""
-        fcts = sorted(self.fcts(max_size_bits=max_size_bits))
-        if not fcts:
-            return None
-        if not 0 < percentile <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-        index = min(len(fcts) - 1,
-                    int(math.ceil(percentile / 100 * len(fcts))) - 1)
-        return fcts[index]
-
-    @property
-    def completion_fraction(self) -> float:
-        """Fraction of offered flows that completed within the run."""
-        if not self.flows:
-            return 1.0
-        return len(self.completed_flows) / len(self.flows)
-
-    @property
-    def peak_fwd_bytes(self) -> float:
-        """Peak aggregate forward-queue occupancy at any node (Fig 10c)."""
-        return self.peak_fwd_cells * self.cell_bytes
-
-    @property
-    def peak_reorder_bytes(self) -> float:
-        """Peak per-flow reorder buffer at any destination (Fig 10d)."""
-        return self.peak_reorder_cells * self.cell_bytes
 
 
 class SiriusNetwork(EpochEngine):
@@ -181,19 +88,12 @@ class SiriusNetwork(EpochEngine):
     seed:
         Seed for all protocol randomness (intermediate choice, grant
         tie-breaks).
-    fast_path:
-        Legacy boolean strategy toggle: ``True`` for the active-set
-        fast path, ``False`` for the all-nodes reference loop.
-        Superseded by ``backend=`` (which wins when both are given)
-        but kept for callers that predate the backend interface.
     backend:
         Select the epoch loop's execution strategy by name:
-        ``"reference"``, ``"fast"`` or ``"vectorized"``.  ``None``
-        (default) defers to ``fast_path``, then the ``REPRO_BACKEND``
-        and legacy ``REPRO_FAST_PATH`` environment variables, falling
-        back to ``"fast"`` (see
-        :func:`repro.core.backend.resolve_backend`).  All backends are
-        bit-identical on seeded runs.
+        ``"reference"`` or ``"vectorized"``.  ``None`` (default) defers
+        to the ``REPRO_BACKEND`` environment variable, falling back to
+        ``"vectorized"`` (see :func:`repro.core.backend.resolve_backend`).
+        Both backends are bit-identical on seeded runs.
     """
 
     def __init__(self, n_nodes: int, grating_ports: int, *,
@@ -203,7 +103,6 @@ class SiriusNetwork(EpochEngine):
                  track_reorder: bool = False,
                  local_capacity_cells: Optional[int] = None,
                  seed: int = 1,
-                 fast_path: Optional[bool] = None,
                  backend: Optional[str] = None) -> None:
         if uplink_multiplier < 1.0:
             raise ValueError(
@@ -225,10 +124,7 @@ class SiriusNetwork(EpochEngine):
                 f"{local_capacity_cells}"
             )
         self.local_capacity_cells = local_capacity_cells
-        self.backend = resolve_backend(backend, fast_path)
-        #: Backward-compatible view of the strategy choice: both
-        #: non-reference backends avoid the all-nodes scans.
-        self.fast_path = self.backend != "reference"
+        self.backend = resolve_backend(backend)
         self.rng = random.Random(seed)
         self.nodes: List[SiriusNode] = [
             SiriusNode(n, n_nodes, self.config, self.rng)
@@ -242,28 +138,6 @@ class SiriusNetwork(EpochEngine):
             raise ValueError(f"epoch cannot be negative, got {epoch}")
         m = self.multiplier
         return int(math.floor((epoch + 1) * m) - math.floor(epoch * m))
-
-    def _capacity_table(self) -> Optional[List[int]]:
-        """Per-epoch capacity pattern, when the multiplier is periodic.
-
-        The floor-difference sequence of a rational multiplier ``p/q``
-        repeats with period ``q``; for every multiplier the paper uses
-        (1.0, 1.5, 2.0) the period is 1 or 2.  The fast path replaces
-        the two-``floor`` computation per epoch with a table lookup —
-        but only after verifying the table reproduces the exact formula
-        over several extra periods, so float-representation surprises
-        fall back to the formula rather than diverge from it.
-        """
-        m = self.multiplier
-        for period in range(1, 65):
-            if not float(period * m).is_integer():
-                continue
-            table = [self.epoch_capacity(e) for e in range(period)]
-            if all(self.epoch_capacity(e) == table[e % period]
-                   for e in range(period, 4 * period)):
-                return table
-            return None
-        return None
 
     @property
     def reference_node_bandwidth_bps(self) -> float:
@@ -290,9 +164,11 @@ class SiriusNetwork(EpochEngine):
         failure is announced datacenter-wide — survivors purge cells
         addressed to it, release grant reservations held for it, stop
         detouring through it, and sources retransmit the transit cells
-        that were stranded at it.  Flows whose source or destination
-        died (with cells still there) are terminated and counted in
-        ``failed_flows``.
+        that were stranded at it.  Flows already admitted towards the
+        dead node, and those it sourced with cells still there, are
+        terminated and counted in ``failed_flows``; so are flows that
+        arrive while an endpoint is failed.  Flows arriving after a
+        recovery run normally (see :mod:`repro.core.ledger`).
 
         ``obs`` attaches a :class:`repro.obs.Observation`: its metrics
         registry receives run counters and queue-occupancy gauges, its
@@ -302,8 +178,8 @@ class SiriusNetwork(EpochEngine):
         per-site cost is one attribute load and branch.
         """
         if self.backend == "vectorized":
-            # Deferred import: the engine imports SimulationResult from
-            # this module, so a top-level import would be circular.
+            # Imported on first use: the engine module is large, and
+            # ``import repro`` serves many callers that never run it.
             from repro.core.vectorized import VectorizedEngine
 
             return VectorizedEngine(self).run(
@@ -316,218 +192,23 @@ class SiriusNetwork(EpochEngine):
         if obs is None:
             obs = NULL_OBS
         tracer = obs.tracer
-        registry = obs.registry
         profiler = obs.profiler
         tracing = tracer.enabled
-        metering = registry.enabled
         profiling = profiler.enabled
-        for node in self.nodes:
-            node.observe_with(obs)
-        if failure_plan is not None:
-            failure_plan.observe_with(obs)
-        if metering:
-            delivered_counter = registry.counter(
-                "delivered_bits_total", "application payload delivered"
-            )
-            transmitted_counter = registry.counter(
-                "cells_transmitted_total", "cells placed on schedule slots"
-            )
-            retransmit_counter = registry.counter(
-                "retransmitted_cells_total",
-                "cells resent after loss at a failed node",
-            )
-            failed_flow_counter = registry.counter(
-                "failed_flows_total", "flows terminated by node failures"
-            )
-            dropped_counter = registry.counter(
-                "cells_dropped_total", "cells purged or lost to failures"
-            )
-
         t_mark = profiler.start_run()
-        epoch_dur = self.schedule.epoch_duration_s
-        payload_bits = self.timing.payload_bits
-        # Loop-invariant configuration, hoisted out of the epoch loop.
-        ideal = self.config.ideal
-        track_reorder = self.track_reorder
-        fast = self.fast_path
-        is_failed = (failure_plan.is_failed if failure_plan is not None
-                     else None)
-        epoch_capacity = self.epoch_capacity
-        cap_table = self._capacity_table() if fast else None
-        cap_period = len(cap_table) if cap_table else 1
-        grant_cap = self.config.effective_grant_cap
-        flows = list(flows)
-        for i in range(1, len(flows)):
-            if flows[i].arrival_time < flows[i - 1].arrival_time:
-                raise ValueError("flows must be sorted by arrival time")
-        flow_by_id: Dict[int, Flow] = {}
-        last_cell_bits: Dict[int, int] = {}
-        offered_bits = 0.0
-        for flow in flows:
-            flow.segment(payload_bits)
-            flow_by_id[flow.flow_id] = flow
-            last_cell_bits[flow.flow_id] = (
-                flow.size_bits - (flow.n_cells - 1) * payload_bits
-            )
-            offered_bits += flow.size_bits
-
-        if max_epochs is None:
-            last_arrival = flows[-1].arrival_time if flows else 0.0
-            max_epochs = int(last_arrival / epoch_dur) + drain_epochs
-
+        ledger = RunLedger(
+            self, flows, max_epochs=max_epochs, drain_epochs=drain_epochs,
+            check_invariants=check_invariants, failure_plan=failure_plan,
+            detection_epochs=detection_epochs, telemetry=telemetry, obs=obs,
+            on_work=None,  # every phase visits every node
+        )
+        epoch_dur = ledger.epoch_s
+        max_epochs = ledger.max_epochs
+        in_flight = ledger.in_flight
+        failed = ledger.failed
         nodes = self.nodes
-        n_flows = len(flows)
-        pending_flows = n_flows
-        delivered_bits = 0.0
-        peak_reorder = 0
-        failed_flows = 0
-        retransmits = 0
-        dead_flows: set = set()
-        announcements: Deque[Tuple[int, int, bool]] = deque()
-
-        # Fast-path active sets: which nodes have work in which phase.
-        # Maintained incrementally at every state transition (admit,
-        # grant receipt, transit receipt, queue drain) and rebuilt from
-        # a full scan after the rare failure announcements; iterated in
-        # sorted order so the shared RNG sees the active nodes in the
-        # same order the reference all-nodes loop visits them.
-        # ``popped`` tracks whose request-history deque rotated this
-        # epoch, so nodes activated after the resolve phase can replay
-        # the rotation they missed (SiriusNode.catch_up_history).
-        control_active: Set[int] = set()
-        grant_active: Set[int] = set()
-        transmit_active: Set[int] = set()
-        backlog_active: Set[int] = set()
-        popped: Set[int] = set()
-
-        def rebuild_active_sets() -> None:
-            control_active.clear()
-            grant_active.clear()
-            transmit_active.clear()
-            for node in nodes:
-                if not node.control_idle:
-                    control_active.add(node.node)
-                if node.request_inbox:
-                    grant_active.add(node.node)
-                if node.fwd or node.vq:
-                    transmit_active.add(node.node)
-
-        def kill_flow(flow_id: int) -> None:
-            nonlocal pending_flows, failed_flows
-            if flow_id in dead_flows:
-                return
-            flow = flow_by_id[flow_id]
-            if flow.is_complete:
-                return
-            dead_flows.add(flow_id)
-            pending_flows -= 1
-            failed_flows += 1
-            if metering:
-                failed_flow_counter.inc()
-
-        def retransmit(cell: Cell) -> None:
-            """Endpoint retransmission of a cell lost at a failed node."""
-            nonlocal retransmits
-            if cell.flow_id in dead_flows:
-                return
-            if is_failed is not None and is_failed(cell.src):
-                kill_flow(cell.flow_id)
-                return
-            nodes[cell.src].enqueue_local(cell)
-            if fast:
-                if ideal:
-                    transmit_active.add(cell.src)
-                else:
-                    control_active.add(cell.src)
-            retransmits += 1
-            if metering:
-                retransmit_counter.inc()
-
-        def announce_failure(f_node: int) -> None:
-            """Datacenter-wide failure announcement (§4.5)."""
-            if tracing:
-                tracer.emit("failure.announce", node=f_node)
-            for node in nodes:
-                if node.node == f_node:
-                    continue
-                node.excluded.add(f_node)
-                node.release_grants_for(f_node)
-                node.purge_destination(f_node)
-            transit, own = nodes[f_node].drain_for_failure()
-            for cell in own:
-                kill_flow(cell.flow_id)
-            for flow in flows:
-                if flow.dst == f_node:
-                    kill_flow(flow.flow_id)
-            for cell in transit:
-                retransmit(cell)
-
-        def announce_recovery(f_node: int) -> None:
-            if tracing:
-                tracer.emit("failure.recover", node=f_node)
-            for node in nodes:
-                node.excluded.discard(f_node)
-
-        def deliver(batch: List[Tuple[int, Cell, int]],
-                    arrival_time: float) -> None:
-            nonlocal pending_flows, delivered_bits, peak_reorder
-            batch_bits = 0.0
-            for recv, cell, sender in batch:
-                if is_failed is not None and is_failed(recv):
-                    # Lost at the failed node: transit cells are
-                    # retransmitted by their source; final-destination
-                    # cells die with the flow.
-                    if tracing:
-                        tracer.emit("cell.drop", node=recv, count=1,
-                                    flow=cell.flow_id,
-                                    reason="lost-in-flight")
-                    if metering:
-                        dropped_counter.inc(reason="lost-in-flight")
-                    if cell.dst == recv:
-                        kill_flow(cell.flow_id)
-                    else:
-                        retransmit(cell)
-                    continue
-                if cell.flow_id in dead_flows:
-                    continue  # residue of a terminated flow
-                node = nodes[recv]
-                if cell.dst != recv:
-                    node.receive_transit(cell)
-                    if fast:
-                        transmit_active.add(recv)
-                    continue
-                if sender == cell.src and not ideal:
-                    # Single-hop (direct-granted) delivery: release one
-                    # slot of the source's direct-grant window.
-                    node.note_direct_arrival(sender)
-                flow = flow_by_id[cell.flow_id]
-                if track_reorder:
-                    node.reorder.accept(cell.flow_id, cell.seq)
-                if cell.seq == flow.n_cells - 1:
-                    cell_bits = last_cell_bits[cell.flow_id]
-                else:
-                    cell_bits = payload_bits
-                delivered_bits += cell_bits
-                batch_bits += cell_bits
-                if flow.record_delivery(arrival_time):
-                    pending_flows -= 1
-                    if tracing:
-                        tracer.emit("flow.completion", node=recv,
-                                    flow=cell.flow_id)
-                    if track_reorder:
-                        peak = node.reorder.peak_flow_cells
-                        if peak > peak_reorder:
-                            peak_reorder = peak
-                        node.reorder.finish_flow(cell.flow_id)
-            if metering and batch_bits:
-                delivered_counter.inc(batch_bits)
-
-        next_flow = 0
-        in_flight: List[Tuple[int, Cell, int]] = []
-        server_backlog: List[Deque[Tuple[Flow, int]]] = [
-            deque() for _ in nodes
-        ]
-        local_capacity = self.local_capacity_cells
+        ideal = self.config.ideal
+        grant_cap = self.config.effective_grant_cap
         epoch = 0
         if profiling:
             t_mark = profiler.lap("setup", t_mark)
@@ -540,131 +221,26 @@ class SiriusNetwork(EpochEngine):
 
             # Phase 0: failure events fire; announcements propagate
             # after the detection delay.
-            if failure_plan is not None:
-                for event in failure_plan.advance_to(epoch):
-                    announcements.append(
-                        (epoch + detection_epochs, event.node, event.fails)
-                    )
-                announced = False
-                while announcements and announcements[0][0] <= epoch:
-                    _eff, f_node, fails = announcements.popleft()
-                    if fails:
-                        announce_failure(f_node)
-                    else:
-                        announce_recovery(f_node)
-                    announced = True
-                if announced and fast:
-                    # Purges, drains and retransmissions touch queues
-                    # across the whole network; a full rescan is cheap
-                    # at announcement frequency and keeps the
-                    # incremental bookkeeping simple.
-                    rebuild_active_sets()
+            ledger.failure_phase(epoch)
             if profiling:
                 t_mark = profiler.lap("failures", t_mark)
 
             # Phase 1: deliver last epoch's transmissions.
-            if in_flight:
-                deliver(in_flight, epoch * epoch_dur)
-                in_flight = []
+            ledger.deliver(epoch * epoch_dur)
             if profiling:
                 t_mark = profiler.lap("deliver", t_mark)
 
             # Phase 2: resolve the completed request round.
             if not ideal:
-                if fast:
-                    popped.clear()
-                    for idx in sorted(control_active):
-                        if is_failed is not None and is_failed(idx):
-                            continue
-                        node = nodes[idx]
-                        if node.control_idle:
-                            control_active.discard(idx)
-                            continue
-                        node.apply_grants_and_expiries()
-                        popped.add(idx)
-                        if node.vq_cells:
-                            transmit_active.add(idx)
-                else:
-                    for node in nodes:
-                        if is_failed is not None and is_failed(node.node):
-                            continue
-                        node.apply_grants_and_expiries()
+                for node in nodes:
+                    if node.node in failed:
+                        continue
+                    node.apply_grants_and_expiries()
             if profiling:
                 t_mark = profiler.lap("resolve", t_mark)
 
             # Phase 3: admit arrivals whose time falls inside this epoch.
-            horizon = (epoch + 1) * epoch_dur
-            while next_flow < n_flows and (
-                flows[next_flow].arrival_time < horizon
-            ):
-                flow = flows[next_flow]
-                next_flow += 1
-                if tracing:
-                    tracer.emit("flow.arrival", node=flow.src,
-                                flow=flow.flow_id, dst=flow.dst,
-                                cells=flow.n_cells)
-                if is_failed is not None and (
-                    is_failed(flow.src) or is_failed(flow.dst)
-                ):
-                    kill_flow(flow.flow_id)
-                    continue
-                if local_capacity is None:
-                    src = flow.src
-                    nodes[src].enqueue_local_cells(
-                        cell_range(flow, 0, flow.n_cells)
-                    )
-                    if fast:
-                        if ideal:
-                            transmit_active.add(src)
-                        else:
-                            if src not in popped:
-                                # Deliberate fast-path asymmetry: a node
-                                # joining the sparse active set replays the
-                                # history rotations it slept through; the
-                                # reference path rotates every node every
-                                # epoch, so it has nothing to catch up.
-                                # lint: ignore[S801]
-                                nodes[src].catch_up_history()
-                                popped.add(src)
-                            control_active.add(src)
-                else:
-                    server_backlog[flow.src].append((flow, 0))
-                    if fast:
-                        backlog_active.add(flow.src)
-            if local_capacity is not None:
-                # §4.3 one-hop flow control: servers fill LOCAL only to
-                # its advertised capacity; the rest waits host-side.
-                limit = local_capacity
-                for idx in (sorted(backlog_active) if fast
-                            else range(len(nodes))):
-                    node = nodes[idx]
-                    backlog = server_backlog[idx]
-                    while backlog and node.local_cells < limit:
-                        flow, start = backlog[0]
-                        if flow.flow_id in dead_flows:
-                            backlog.popleft()
-                            continue
-                        room = limit - node.local_cells
-                        end = min(flow.n_cells, start + room)
-                        node.enqueue_local_cells(cell_range(flow, start, end))
-                        if fast:
-                            if ideal:
-                                transmit_active.add(idx)
-                            else:
-                                if idx not in popped:
-                                    # Deliberate fast-path asymmetry: see
-                                    # the admission-time catch-up above.
-                                    # lint: ignore[S801]
-                                    node.catch_up_history()
-                                    popped.add(idx)
-                                control_active.add(idx)
-                        if end == flow.n_cells:
-                            backlog.popleft()
-                        else:
-                            backlog[0] = (flow, end)
-                            break
-                    if fast and not backlog:
-                        backlog_active.discard(idx)
+            ledger.admit((epoch + 1) * epoch_dur)
             if profiling:
                 t_mark = profiler.lap("admit", t_mark)
 
@@ -672,130 +248,52 @@ class SiriusNetwork(EpochEngine):
             # decided on the requests received in the *previous* epoch
             # (§4.3), so the grant phase must run before this epoch's
             # requests reach the inboxes.
-            capacity = (cap_table[epoch % cap_period] if cap_table
-                        else epoch_capacity(epoch))
             if not ideal:
-                if fast:
-                    for idx in sorted(grant_active):
-                        if is_failed is not None and is_failed(idx):
-                            # A silently-failed node keeps its stale
-                            # inbox until the announcement drains it.
+                for node in nodes:
+                    if node.node in failed:
+                        # A silently-failed node keeps its stale inbox
+                        # until the announcement drains it.
+                        continue
+                    for src, dst in node.decide_grants(grant_cap):
+                        if src in failed:
                             continue
-                        grant_active.discard(idx)
-                        for src, dst in nodes[idx].decide_grants(grant_cap):
-                            if is_failed is not None and is_failed(src):
-                                continue
-                            nodes[src].grant_inbox.append((idx, dst))
-                            if src not in popped:
-                                # Deliberate fast-path asymmetry: see the
-                                # admission-time catch-up above.
-                                # lint: ignore[S801]
-                                nodes[src].catch_up_history()
-                                popped.add(src)
-                            control_active.add(src)
-                    for idx in sorted(control_active):
-                        if is_failed is not None and is_failed(idx):
-                            continue
-                        node = nodes[idx]
-                        for intermediate, dst in node.generate_requests():
-                            nodes[intermediate].request_inbox.append(
-                                (idx, dst)
-                            )
-                            grant_active.add(intermediate)
-                        if node.control_idle:
-                            control_active.discard(idx)
-                else:
-                    for node in nodes:
-                        if is_failed is not None and is_failed(node.node):
-                            continue
-                        for src, dst in node.decide_grants(grant_cap):
-                            if is_failed is not None and is_failed(src):
-                                continue
-                            nodes[src].grant_inbox.append((node.node, dst))
-                    for node in nodes:
-                        if is_failed is not None and is_failed(node.node):
-                            continue
-                        for intermediate, dst in node.generate_requests():
-                            nodes[intermediate].request_inbox.append(
-                                (node.node, dst)
-                            )
+                        nodes[src].grant_inbox.append((node.node, dst))
+                for node in nodes:
+                    if node.node in failed:
+                        continue
+                    for intermediate, dst in node.generate_requests():
+                        nodes[intermediate].request_inbox.append(
+                            (node.node, dst)
+                        )
             if profiling:
                 t_mark = profiler.lap("control", t_mark)
 
             # Phase 6: transmit on every busy pair slot.
-            if fast:
-                for idx in sorted(transmit_active):
-                    if is_failed is not None and is_failed(idx):
-                        continue
-                    node = nodes[idx]
-                    for dst in node.busy_destinations():
-                        for cell in node.dequeue_for(dst, capacity):
-                            in_flight.append((dst, cell, idx))
-                            if tracing:
-                                tracer.emit("cell.dequeue", node=idx,
-                                            to=dst, flow=cell.flow_id,
-                                            dst=cell.dst)
-                    if not node.fwd and not node.vq:
-                        transmit_active.discard(idx)
-            else:
-                for node in nodes:
-                    if is_failed is not None and is_failed(node.node):
-                        continue
-                    for dst in node.busy_destinations():
-                        for cell in node.dequeue_for(dst, capacity):
-                            in_flight.append((dst, cell, node.node))
-                            if tracing:
-                                tracer.emit("cell.dequeue", node=node.node,
-                                            to=dst, flow=cell.flow_id,
-                                            dst=cell.dst)
-            if metering and in_flight:
-                transmitted_counter.inc(len(in_flight))
+            capacity = self.epoch_capacity(epoch)
+            for node in nodes:
+                if node.node in failed:
+                    continue
+                for dst in node.busy_destinations():
+                    for cell in node.dequeue_for(dst, capacity):
+                        in_flight.append((dst, cell, node.node))
+                        if tracing:
+                            tracer.emit("cell.dequeue", node=node.node,
+                                        to=dst, flow=cell.flow_id,
+                                        dst=cell.dst)
             if profiling:
                 t_mark = profiler.lap("transmit", t_mark)
 
-            if check_invariants:
-                for node in nodes:
-                    node.check_invariants()
-
-            if telemetry is not None:
-                telemetry.sample(epoch, nodes, len(in_flight),
-                                 delivered_bits)
-            if metering and epoch % obs.sample_every == 0:
-                obs.sample_network(epoch, nodes, len(in_flight),
-                                   delivered_bits)
+            ledger.end_epoch(epoch)
             if profiling:
                 t_mark = profiler.lap("observe", t_mark)
 
             epoch += 1
-            if (pending_flows == 0 and not in_flight
-                    and next_flow >= n_flows
-                    and (not backlog_active if fast
-                         else not any(server_backlog))):
+            if ledger.done:
                 break
 
         # Deliver anything sent in the final epoch (epoch-cap exit).
-        if tracing:
-            tracer.at(epoch, epoch * epoch_dur)
-        if in_flight:
-            deliver(in_flight, epoch * epoch_dur)
-
-        duration = max(epoch, 1) * epoch_dur
+        result = ledger.finish(epoch)
         if profiling:
             profiler.lap("finalize", t_mark)
             profiler.end_run()
-        return SimulationResult(
-            flows=flows,
-            epochs=epoch,
-            duration_s=duration,
-            delivered_bits=delivered_bits,
-            offered_bits=offered_bits,
-            reference_node_bandwidth_bps=self.reference_node_bandwidth_bps,
-            n_nodes=self.topology.n_nodes,
-            cell_bytes=self.timing.cell_bytes,
-            peak_fwd_cells=max(n.peak_fwd_cells for n in nodes),
-            peak_local_cells=max(n.peak_local_cells for n in nodes),
-            peak_reorder_cells=peak_reorder,
-            config=self.config,
-            failed_flows=failed_flows,
-            retransmitted_cells=retransmits,
-        )
+        return result

@@ -278,9 +278,8 @@ class SiriusNode:
         raise RuntimeError("no legal intermediate available")
 
     # ------------------------------------------------------------------
-    # Fast-path bookkeeping
+    # Sparse-iteration support (the vectorized engine's activity masks)
     # ------------------------------------------------------------------
-    @property
     def control_idle(self) -> bool:
         """True when this epoch's control phases would all be no-ops.
 
@@ -291,7 +290,7 @@ class SiriusNode:
         pending batch resolves to an empty :class:`Counter`).  For such
         a node ``apply_grants_and_expiries`` + ``generate_requests``
         reduce to popping one empty batch and appending another — and,
-        crucially, consume **no** RNG draws, so the network's fast path
+        crucially, consume **no** RNG draws, so the vectorized engine
         may skip it without perturbing the shared seeded stream
         (:meth:`catch_up_history` replays the pop/append pair lazily).
         """
@@ -302,12 +301,12 @@ class SiriusNode:
     def catch_up_history(self) -> None:
         """Replay the history rotation skipped while control-idle.
 
-        The reference path pops one request batch and appends one per
+        The reference loop pops one request batch and appends one per
         epoch; a skipped idle epoch leaves both sides empty, so popping
         a single empty placeholder per missed epoch restores the exact
-        deque the reference path would hold.  The network calls this
-        when an idle node re-activates mid-epoch (cells admitted after
-        the resolve phase already ran).
+        deque the reference loop would hold.  The vectorized engine
+        calls this when an idle node re-activates mid-epoch (cells
+        admitted or grants received after the resolve phase ran).
         """
         if self._sent_request_history:
             self._sent_request_history.popleft()

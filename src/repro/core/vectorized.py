@@ -1,20 +1,23 @@
-"""The ``vectorized`` epoch-loop backend (paper-scale runs, §7).
+"""The ``vectorized`` epoch-loop backend, the default cell engine (§7).
 
 :class:`VectorizedEngine` executes the same protocol state machine as
-:meth:`repro.core.network.SiriusNetwork.run` — identical phase order,
-identical per-node operations, the same single seeded RNG stream — but
-keeps the *scheduling* of that work in numpy slabs instead of Python
-sets, and exploits two properties the per-node backends cannot:
+the ``reference`` loop of :meth:`repro.core.network.SiriusNetwork.run`
+— identical phase order, identical per-node operations, the same single
+seeded RNG stream — and drives the same
+:class:`repro.core.ledger.RunLedger` for flows, delivery, failures and
+the result.  It keeps the *scheduling* of the per-node work in numpy
+slabs instead of visiting every node, and exploits three properties
+the all-nodes loop cannot:
 
 * **Activity masks and depth slabs.**  Which node has control-plane
-  work, a pending grant decision, queued cells or server-side backlog
-  is one boolean vector per phase; the per-epoch "who is active" scan
-  is ``np.flatnonzero`` (ascending, matching the reference visit
-  order) instead of sorting a Python set, and a node-failure mask
-  filters rows without per-node predicate calls.  When metrics are
-  recorded, per-node queue depths are mirrored into integer slabs so
-  the observation hook aggregates with array sums rather than touching
-  every node object (:meth:`repro.obs.Observation.sample_network_slabs`).
+  work, a pending grant decision or queued cells is one boolean vector
+  per phase; the per-epoch "who is active" scan is ``np.flatnonzero``
+  (ascending, matching the reference visit order), and a node-failure
+  mask filters rows without per-node predicate calls.  The ledger
+  reports nodes that got new work through its ``on_work`` hook.  When
+  metrics are recorded, per-node queue depths are mirrored into integer
+  slabs that :meth:`repro.obs.Observation.sample_network` reads
+  directly.
 * **Batched grant admission.**  The grant phase's break-on-deny loop
   collapses to the closed form
   :func:`repro.core.congestion.grant_admission_count`; per-destination
@@ -22,16 +25,17 @@ sets, and exploits two properties the per-node backends cannot:
   (When a tracer or registry is live the engine defers to
   :meth:`SiriusNode.decide_grants` so per-decision observability is
   preserved.)
-* **Idle-epoch skipping.**  When every mask is empty, nothing is in
-  flight and no announcement is pending, *no* state can change until
-  the next flow arrival or scripted failure event — every per-node
-  phase operation is a no-op that consumes no randomness, and the DRRM
-  offsets and request histories of idle nodes do not advance.  The
-  engine jumps the epoch counter straight to the next event, which is
-  what makes sparse workloads (the bench micro scenario, long drain
-  tails, failure-wait windows) orders of magnitude cheaper.  Skipping
-  is disabled while a telemetry sampler or live observation bundle is
-  attached, since those record per-epoch series.
+* **Idle-epoch skipping.**  When every mask is empty and the ledger is
+  quiet (nothing in flight, no announcement pending, no server-side
+  backlog), *no* state can change until the next flow arrival or
+  scripted failure event — every per-node phase operation is a no-op
+  that consumes no randomness, and the DRRM offsets and request
+  histories of idle nodes do not advance.  The engine jumps the epoch
+  counter straight to the next event, which is what makes sparse
+  workloads (the bench micro scenario, long drain tails, failure-wait
+  windows) orders of magnitude cheaper.  Skipping is disabled while a
+  telemetry sampler or live observation bundle is attached, since
+  those record per-epoch series.
 
 Cells themselves stay in the per-node queue structures of
 :class:`repro.core.node.SiriusNode`: the simulation's observable output
@@ -40,22 +44,22 @@ cell identity must be preserved and per-cell queue moves remain Python.
 The slabs hold everything *about* the nodes that the epoch loop reads
 on its hot path.
 
-Seeded-run equivalence with the ``reference`` and ``fast`` backends is
-enforced by the three-way parity suite in
-``tests/core/test_fast_path_equivalence.py``.
+Seeded-run equivalence with the ``reference`` backend is enforced by
+the parity suite in ``tests/core/test_fast_path_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.backend import EpochEngine
-from repro.core.cell import Cell, Flow, cell_range
+from repro.core.cell import Flow
 from repro.core.congestion import grant_admission_count
 from repro.core.failures import FailurePlan
+from repro.core.ledger import RunLedger, SimulationResult
 from repro.core.telemetry import Telemetry
 from repro.obs.observation import NULL_OBS, Observation
 
@@ -235,110 +239,67 @@ class VectorizedEngine(EpochEngine):
             failure_plan: Optional[FailurePlan] = None,
             detection_epochs: int = 3,
             telemetry: Optional[Telemetry] = None,
-            obs: Optional[Observation] = None):
+            obs: Optional[Observation] = None) -> SimulationResult:
         """Simulate; same contract as :meth:`SiriusNetwork.run`."""
-        from repro.core.network import SimulationResult
-
         net = self.net
         if obs is None:
             obs = NULL_OBS
         tracer = obs.tracer
-        registry = obs.registry
         profiler = obs.profiler
         tracing = tracer.enabled
-        metering = registry.enabled
+        metering = obs.registry.enabled
         profiling = profiler.enabled
         observing = tracing or metering
-        for node in net.nodes:
-            node.observe_with(obs)
-        if failure_plan is not None:
-            failure_plan.observe_with(obs)
-        if metering:
-            delivered_counter = registry.counter(
-                "delivered_bits_total", "application payload delivered"
-            )
-            transmitted_counter = registry.counter(
-                "cells_transmitted_total", "cells placed on schedule slots"
-            )
-            retransmit_counter = registry.counter(
-                "retransmitted_cells_total",
-                "cells resent after loss at a failed node",
-            )
-            failed_flow_counter = registry.counter(
-                "failed_flows_total", "flows terminated by node failures"
-            )
-            dropped_counter = registry.counter(
-                "cells_dropped_total", "cells purged or lost to failures"
-            )
-
-        t_mark = profiler.start_run()
-        epoch_dur = net.schedule.epoch_duration_s
-        payload_bits = net.timing.payload_bits
+        nodes = net.nodes
+        n_nodes = len(nodes)
         ideal = net.config.ideal
-        track_reorder = net.track_reorder
-        failed_set = failure_plan.failed if failure_plan is not None else None
-        epoch_capacity = net.epoch_capacity
-        cap_table = net._capacity_table()
-        cap_period = len(cap_table) if cap_table else 1
         grant_cap = net.config.effective_grant_cap
         queue_threshold = net.config.queue_threshold
         drrm_selection = net.config.selection == "drrm"
-        flows = list(flows)
-        for i in range(1, len(flows)):
-            if flows[i].arrival_time < flows[i - 1].arrival_time:
-                raise ValueError("flows must be sorted by arrival time")
-        flow_by_id = {}
-        last_cell_bits = {}
-        offered_bits = 0.0
-        for flow in flows:
-            flow.segment(payload_bits)
-            flow_by_id[flow.flow_id] = flow
-            last_cell_bits[flow.flow_id] = (
-                flow.size_bits - (flow.n_cells - 1) * payload_bits
-            )
-            offered_bits += flow.size_bits
-
-        if max_epochs is None:
-            last_arrival = flows[-1].arrival_time if flows else 0.0
-            max_epochs = int(last_arrival / epoch_dur) + drain_epochs
-
-        nodes = net.nodes
-        n_nodes = net.topology.n_nodes
-        n_flows = len(flows)
-        pending_flows = n_flows
-        delivered_bits = 0.0
-        peak_reorder = 0
-        failed_flows = 0
-        retransmits = 0
-        dead_flows: set = set()
-        announcements: Deque[Tuple[int, int, bool]] = deque()
 
         # The per-phase activity state, as one boolean slab per phase
-        # (the vector analogue of the fast path's active sets) plus the
-        # failure mask.  np.flatnonzero yields rows in ascending order
-        # — exactly the sorted-set visit order the reference RNG
-        # stream requires.
+        # plus the failure mask.  np.flatnonzero yields rows in
+        # ascending order — exactly the visit order of the reference
+        # loop, which the shared RNG stream requires.
         control_m = np.zeros(n_nodes, dtype=bool)
         grant_m = np.zeros(n_nodes, dtype=bool)
         transmit_m = np.zeros(n_nodes, dtype=bool)
-        backlog_m = np.zeros(n_nodes, dtype=bool)
         failed_m = np.zeros(n_nodes, dtype=bool)
-        popped: set = set()
+        # Nodes whose request history rotated in this epoch's resolve
+        # phase; None before that phase runs.
+        popped: Optional[set] = None
 
         # Depth slabs: per-node queue depths, mirrored only while a
         # metrics registry is live — they exist so the sampling hook
-        # can aggregate occupancy with three array sums instead of a
-        # full pass over node objects.
+        # reads occupancy from arrays rather than touching every node
+        # object.
         if metering:
             local_depth = np.zeros(n_nodes, dtype=np.int64)
             vq_depth = np.zeros(n_nodes, dtype=np.int64)
             fwd_depth = np.zeros(n_nodes, dtype=np.int64)
+            depths = (local_depth, vq_depth, fwd_depth)
+        else:
+            depths = None
 
         def sync_depths(idx: int) -> None:
             node = nodes[idx]
             local_depth[idx] = node.local_cells
             vq_depth[idx] = node.vq_cells
             fwd_depth[idx] = node.fwd_cells
+
+        def on_work(idx: int, local: bool) -> None:
+            """The ledger queued cells at ``idx``: mark its phase."""
+            if local and not ideal:
+                if popped is not None and idx not in popped:
+                    # A node re-activating after the resolve phase
+                    # replays the history rotation it slept through.
+                    nodes[idx].catch_up_history()
+                    popped.add(idx)
+                control_m[idx] = True
+            else:
+                transmit_m[idx] = True
+            if metering:
+                sync_depths(idx)
 
         def alive_rows(mask) -> List[int]:
             rows = np.flatnonzero(mask)
@@ -351,7 +312,7 @@ class VectorizedEngine(EpochEngine):
             grant_m[:] = False
             transmit_m[:] = False
             for node in nodes:
-                if not node.control_idle:
+                if not node.control_idle():
                     control_m[node.node] = True
                 if node.request_inbox:
                     grant_m[node.node] = True
@@ -360,149 +321,17 @@ class VectorizedEngine(EpochEngine):
                 if metering:
                     sync_depths(node.node)
 
-        def kill_flow(flow_id: int) -> None:
-            nonlocal pending_flows, failed_flows
-            if flow_id in dead_flows:
-                return
-            flow = flow_by_id[flow_id]
-            if flow.is_complete:
-                return
-            dead_flows.add(flow_id)
-            pending_flows -= 1
-            failed_flows += 1
-            if metering:
-                failed_flow_counter.inc()
-
-        def retransmit(cell: Cell) -> None:
-            nonlocal retransmits
-            if cell.flow_id in dead_flows:
-                return
-            if failed_set is not None and cell.src in failed_set:
-                kill_flow(cell.flow_id)
-                return
-            nodes[cell.src].enqueue_local(cell)
-            if ideal:
-                transmit_m[cell.src] = True
-            else:
-                control_m[cell.src] = True
-            if metering:
-                sync_depths(cell.src)
-            retransmits += 1
-            if metering:
-                retransmit_counter.inc()
-
-        def announce_failure(f_node: int) -> None:
-            if tracing:
-                tracer.emit("failure.announce", node=f_node)
-            for node in nodes:
-                if node.node == f_node:
-                    continue
-                node.excluded.add(f_node)
-                node.release_grants_for(f_node)
-                node.purge_destination(f_node)
-            transit, own = nodes[f_node].drain_for_failure()
-            for cell in own:
-                kill_flow(cell.flow_id)
-            for flow in flows:
-                if flow.dst == f_node:
-                    kill_flow(flow.flow_id)
-            for cell in transit:
-                retransmit(cell)
-
-        def announce_recovery(f_node: int) -> None:
-            if tracing:
-                tracer.emit("failure.recover", node=f_node)
-            for node in nodes:
-                node.excluded.discard(f_node)
-
-        def deliver(batch: List[Tuple[int, Cell, int]],
-                    arrival_time: float) -> None:
-            nonlocal pending_flows, delivered_bits, peak_reorder
-            batch_bits = 0.0
-            for recv, cell, sender in batch:
-                if failed_set is not None and recv in failed_set:
-                    if tracing:
-                        tracer.emit("cell.drop", node=recv, count=1,
-                                    flow=cell.flow_id,
-                                    reason="lost-in-flight")
-                    if metering:
-                        dropped_counter.inc(reason="lost-in-flight")
-                    if cell.dst == recv:
-                        kill_flow(cell.flow_id)
-                    else:
-                        retransmit(cell)
-                    continue
-                if cell.flow_id in dead_flows:
-                    continue
-                node = nodes[recv]
-                if cell.dst != recv:
-                    # Inline of SiriusNode.receive_transit: enqueue on
-                    # the forward queue and release the outstanding
-                    # grant the cell consumed.
-                    dst = cell.dst
-                    queue = node.fwd.get(dst)
-                    if queue is None:
-                        queue = node._queue_factory()
-                        node.fwd[dst] = queue
-                    queue.append(cell)
-                    node.fwd_cells += 1
-                    if node.fwd_cells > node.peak_fwd_cells:
-                        node.peak_fwd_cells = node.fwd_cells
-                    if tracing:
-                        tracer.emit("cell.enqueue", node=recv,
-                                    queue="fwd", flow=cell.flow_id,
-                                    dst=dst)
-                    if not ideal:
-                        outstanding = node.outstanding.get(dst, 0)
-                        if outstanding <= 0:
-                            raise RuntimeError(
-                                f"node {recv}: transit cell for {dst} "
-                                "arrived without an outstanding grant"
-                            )
-                        if outstanding == 1:
-                            del node.outstanding[dst]
-                        else:
-                            node.outstanding[dst] = outstanding - 1
-                        pair = (cell.src, dst)
-                        by_src = node._outstanding_by_src.get(pair, 0)
-                        if by_src == 1:
-                            del node._outstanding_by_src[pair]
-                        elif by_src > 1:
-                            node._outstanding_by_src[pair] = by_src - 1
-                    transmit_m[recv] = True
-                    if metering:
-                        sync_depths(recv)
-                    continue
-                if sender == cell.src and not ideal:
-                    node.note_direct_arrival(sender)
-                flow = flow_by_id[cell.flow_id]
-                if track_reorder:
-                    node.reorder.accept(cell.flow_id, cell.seq)
-                if cell.seq == flow.n_cells - 1:
-                    cell_bits = last_cell_bits[cell.flow_id]
-                else:
-                    cell_bits = payload_bits
-                delivered_bits += cell_bits
-                batch_bits += cell_bits
-                if flow.record_delivery(arrival_time):
-                    pending_flows -= 1
-                    if tracing:
-                        tracer.emit("flow.completion", node=recv,
-                                    flow=cell.flow_id)
-                    if track_reorder:
-                        peak = node.reorder.peak_flow_cells
-                        if peak > peak_reorder:
-                            peak_reorder = peak
-                        node.reorder.finish_flow(cell.flow_id)
-            if metering and batch_bits:
-                delivered_counter.inc(batch_bits)
-
-        next_flow = 0
-        in_flight: List[Tuple[int, Cell, int]] = []
-        server_backlog: List[Deque[Tuple[Flow, int]]] = [
-            deque() for _ in nodes
-        ]
-        local_capacity = net.local_capacity_cells
+        t_mark = profiler.start_run()
+        ledger = RunLedger(
+            net, flows, max_epochs=max_epochs, drain_epochs=drain_epochs,
+            check_invariants=check_invariants, failure_plan=failure_plan,
+            detection_epochs=detection_epochs, telemetry=telemetry, obs=obs,
+            on_work=on_work,
+        )
+        epoch_dur = ledger.epoch_s
+        max_epochs = ledger.max_epochs
+        in_flight = ledger.in_flight
+        failed = ledger.failed
         # Idle-epoch skipping records per-epoch nothing, so it is only
         # legal when nothing records per-epoch series either.
         can_skip = telemetry is None and not obs.enabled
@@ -515,41 +344,29 @@ class VectorizedEngine(EpochEngine):
                 tracer.emit("epoch", in_flight=len(in_flight))
             if profiling:
                 profiler.set_epoch(epoch)
+            popped = None
 
             # Phase 0: failure events fire; announcements propagate
             # after the detection delay.
-            if failure_plan is not None:
-                for event in failure_plan.advance_to(epoch):
-                    failed_m[event.node] = event.fails
-                    announcements.append(
-                        (epoch + detection_epochs, event.node, event.fails)
-                    )
-                announced = False
-                while announcements and announcements[0][0] <= epoch:
-                    _eff, f_node, fails = announcements.popleft()
-                    if fails:
-                        announce_failure(f_node)
-                    else:
-                        announce_recovery(f_node)
-                    announced = True
-                if announced:
-                    rebuild_masks()
+            fired, announced = ledger.failure_phase(epoch)
+            for event in fired:
+                failed_m[event.node] = event.fails
+            if announced:
+                rebuild_masks()
             if profiling:
                 t_mark = profiler.lap("failures", t_mark)
 
             # Phase 1: deliver last epoch's transmissions.
-            if in_flight:
-                deliver(in_flight, epoch * epoch_dur)
-                in_flight = []
+            ledger.deliver(epoch * epoch_dur)
             if profiling:
                 t_mark = profiler.lap("deliver", t_mark)
 
             # Phase 2: resolve the completed request round.
             if not ideal:
-                popped.clear()
+                popped = set()
                 for idx in alive_rows(control_m):
                     node = nodes[idx]
-                    if node.control_idle:
+                    if node.control_idle():
                         control_m[idx] = False
                         continue
                     node.apply_grants_and_expiries()
@@ -562,78 +379,12 @@ class VectorizedEngine(EpochEngine):
                 t_mark = profiler.lap("resolve", t_mark)
 
             # Phase 3: admit arrivals whose time falls inside this epoch.
-            horizon = (epoch + 1) * epoch_dur
-            while next_flow < n_flows and (
-                flows[next_flow].arrival_time < horizon
-            ):
-                flow = flows[next_flow]
-                next_flow += 1
-                if tracing:
-                    tracer.emit("flow.arrival", node=flow.src,
-                                flow=flow.flow_id, dst=flow.dst,
-                                cells=flow.n_cells)
-                if failed_set is not None and (
-                    flow.src in failed_set or flow.dst in failed_set
-                ):
-                    kill_flow(flow.flow_id)
-                    continue
-                if local_capacity is None:
-                    src = flow.src
-                    nodes[src].enqueue_local_cells(
-                        cell_range(flow, 0, flow.n_cells)
-                    )
-                    if metering:
-                        sync_depths(src)
-                    if ideal:
-                        transmit_m[src] = True
-                    else:
-                        if src not in popped:
-                            # A node re-activating after the resolve
-                            # phase replays the history rotation it
-                            # slept through (same asymmetry as the
-                            # fast path's admission-time catch-up).
-                            nodes[src].catch_up_history()
-                            popped.add(src)
-                        control_m[src] = True
-                else:
-                    server_backlog[flow.src].append((flow, 0))
-                    backlog_m[flow.src] = True
-            if local_capacity is not None:
-                limit = local_capacity
-                for idx in np.flatnonzero(backlog_m).tolist():
-                    node = nodes[idx]
-                    backlog = server_backlog[idx]
-                    while backlog and node.local_cells < limit:
-                        flow, start = backlog[0]
-                        if flow.flow_id in dead_flows:
-                            backlog.popleft()
-                            continue
-                        room = limit - node.local_cells
-                        end = min(flow.n_cells, start + room)
-                        node.enqueue_local_cells(cell_range(flow, start, end))
-                        if metering:
-                            sync_depths(idx)
-                        if ideal:
-                            transmit_m[idx] = True
-                        else:
-                            if idx not in popped:
-                                node.catch_up_history()
-                                popped.add(idx)
-                            control_m[idx] = True
-                        if end == flow.n_cells:
-                            backlog.popleft()
-                        else:
-                            backlog[0] = (flow, end)
-                            break
-                    if not backlog:
-                        backlog_m[idx] = False
+            ledger.admit((epoch + 1) * epoch_dur)
             if profiling:
                 t_mark = profiler.lap("admit", t_mark)
 
             # Phases 4-5: grant round, then request round (grants act
             # on the requests received in the *previous* epoch, §4.3).
-            capacity = (cap_table[epoch % cap_period] if cap_table
-                        else epoch_capacity(epoch))
             if not ideal:
                 for idx in alive_rows(grant_m):
                     grant_m[idx] = False
@@ -678,7 +429,7 @@ class VectorizedEngine(EpochEngine):
                     else:
                         grants = self._decide_grants(node, grant_cap)
                     for src, dst in grants:
-                        if failed_set is not None and src in failed_set:
+                        if src in failed:
                             continue
                         nodes[src].grant_inbox.append((idx, dst))
                         if src not in popped:
@@ -690,7 +441,7 @@ class VectorizedEngine(EpochEngine):
                     for intermediate, dst in self._generate_requests(node):
                         nodes[intermediate].request_inbox.append((idx, dst))
                         grant_m[intermediate] = True
-                    if node.control_idle:
+                    if node.control_idle():
                         control_m[idx] = False
             if profiling:
                 t_mark = profiler.lap("control", t_mark)
@@ -704,6 +455,7 @@ class VectorizedEngine(EpochEngine):
             # to the slot capacity.  Ideal mode keeps the method call
             # (fair-queue alternation), as do traced runs (per-cell
             # ``cell.dequeue`` events).
+            capacity = net.epoch_capacity(epoch)
             for idx in alive_rows(transmit_m):
                 node = nodes[idx]
                 fwd = node.fwd
@@ -744,73 +496,33 @@ class VectorizedEngine(EpochEngine):
                     sync_depths(idx)
                 if not node.fwd and not node.vq:
                     transmit_m[idx] = False
-            if metering and in_flight:
-                transmitted_counter.inc(len(in_flight))
             if profiling:
                 t_mark = profiler.lap("transmit", t_mark)
 
-            if check_invariants:
-                for node in nodes:
-                    node.check_invariants()
-
-            if telemetry is not None:
-                telemetry.sample(epoch, nodes, len(in_flight),
-                                 delivered_bits)
-            if metering and epoch % obs.sample_every == 0:
-                obs.sample_network_slabs(epoch, local_depth, vq_depth,
-                                         fwd_depth, len(in_flight),
-                                         delivered_bits)
+            ledger.end_epoch(epoch, depths)
             if profiling:
                 t_mark = profiler.lap("observe", t_mark)
 
             epoch += 1
-            if (pending_flows == 0 and not in_flight
-                    and next_flow >= n_flows and not backlog_m.any()):
+            if ledger.done:
                 break
 
-            # Idle-epoch skip: with every mask empty, nothing in flight
-            # and no pending announcement, each epoch until the next
-            # external event is a proven no-op for every node — no
-            # queue moves, no history rotation, no RNG draw — so the
-            # epoch counter can jump there directly.
-            if (can_skip and not in_flight and not announcements
+            # Idle-epoch skip: with every mask empty and the ledger
+            # quiet, each epoch until the next external event is a
+            # proven no-op for every node — no queue moves, no history
+            # rotation, no RNG draw — so the epoch counter can jump
+            # there directly.
+            if (can_skip and ledger.quiet
                     and not (control_m.any() or grant_m.any()
-                             or transmit_m.any() or backlog_m.any())):
-                targets = []
-                if next_flow < n_flows:
-                    targets.append(
-                        int(flows[next_flow].arrival_time / epoch_dur)
-                    )
-                if failure_plan is not None:
-                    next_event = failure_plan.next_event_epoch()
-                    if next_event is not None:
-                        targets.append(next_event)
-                target = min(targets) if targets else max_epochs
+                             or transmit_m.any())):
+                target = ledger.next_event_epoch()
+                if target is None:
+                    target = max_epochs
                 if target > epoch:
                     epoch = min(target, max_epochs)
 
-        if tracing:
-            tracer.at(epoch, epoch * epoch_dur)
-        if in_flight:
-            deliver(in_flight, epoch * epoch_dur)
-
-        duration = max(epoch, 1) * epoch_dur
+        result = ledger.finish(epoch)
         if profiling:
             profiler.lap("finalize", t_mark)
             profiler.end_run()
-        return SimulationResult(
-            flows=flows,
-            epochs=epoch,
-            duration_s=duration,
-            delivered_bits=delivered_bits,
-            offered_bits=offered_bits,
-            reference_node_bandwidth_bps=net.reference_node_bandwidth_bps,
-            n_nodes=n_nodes,
-            cell_bytes=net.timing.cell_bytes,
-            peak_fwd_cells=max(n.peak_fwd_cells for n in nodes),
-            peak_local_cells=max(n.peak_local_cells for n in nodes),
-            peak_reorder_cells=peak_reorder,
-            config=net.config,
-            failed_flows=failed_flows,
-            retransmitted_cells=retransmits,
-        )
+        return result

@@ -13,7 +13,9 @@ run wall-clock).  :meth:`Observation.recording` turns everything on.
 from __future__ import annotations
 
 from time import monotonic
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from repro.obs.events import NULL_TRACER, EventTracer
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -54,6 +56,8 @@ class Observation:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.sample_every = sample_every
+        #: Per-node depths published by the last sample_network call.
+        self._node_depths = None
 
     @classmethod
     def recording(cls, *, sample_every: int = 1, per_epoch_profile: bool = False,
@@ -90,27 +94,35 @@ class Observation:
                 or self.profiler.enabled)
 
     # -- network-level publication ----------------------------------------
-    def sample_network(self, epoch: int, nodes: Sequence,
+    def sample_network(self, epoch: int, local_depth, vq_depth, fwd_depth,
                        in_flight: int, delivered_bits: float) -> None:
         """Publish one epoch's queue state into the registry.
 
-        Called by the network loop at the ``sample_every`` cadence:
-        aggregate occupancy series (tracked gauges, the substrate of
-        run reports) plus per-node labelled gauges (``vq_cells{node=}``)
-        for drill-down.
+        Called by the network loop at the ``sample_every`` cadence with
+        per-node integer depth arrays (one entry per node).  Publishes
+        the aggregate occupancy series (tracked gauges, the substrate
+        of run reports) plus per-node labelled gauges
+        (``vq_cells{node=}``) for drill-down — the latter only for nodes
+        whose depth changed since the previous sample, so a sample of a
+        4096-node network costs array compares, not 12k gauge writes.
         """
         registry = self.registry
-        local = vq = fwd = 0
-        node_gauge_local = registry.gauge("local_cells", track=False)
-        node_gauge_vq = registry.gauge("vq_cells", track=False)
-        node_gauge_fwd = registry.gauge("fwd_cells", track=False)
-        for node in nodes:
-            local += node.local_cells
-            vq += node.vq_cells
-            fwd += node.fwd_cells
-            node_gauge_local.set(node.local_cells, node=node.node)
-            node_gauge_vq.set(node.vq_cells, node=node.node)
-            node_gauge_fwd.set(node.fwd_cells, node=node.node)
+        previous = self._node_depths
+        depths = (np.asarray(local_depth), np.asarray(vq_depth),
+                  np.asarray(fwd_depth))
+        if previous is None or len(previous[0]) != len(depths[0]):
+            previous = tuple(np.zeros_like(d) for d in depths)
+        totals = []
+        for name, depth, last in zip(("local_cells", "vq_cells",
+                                      "fwd_cells"), depths, previous):
+            gauge = registry.gauge(name, track=False)
+            changed = np.flatnonzero(depth != last)
+            for node, value in zip(changed.tolist(),
+                                   depth[changed].tolist()):
+                gauge.set(value, node=node)
+            totals.append(int(depth.sum()))
+        self._node_depths = tuple(d.copy() for d in depths)
+        local, vq, fwd = totals
         registry.gauge("net_local_cells", track=True).set(local, at=epoch)
         registry.gauge("net_vq_cells", track=True).set(vq, at=epoch)
         registry.gauge("net_fwd_cells", track=True).set(fwd, at=epoch)
@@ -123,51 +135,14 @@ class Observation:
         registry.gauge("net_delivered_bits", track=True).set(
             delivered_bits, at=epoch
         )
-        self._sample_progress(registry, epoch)
-
-    def _sample_progress(self, registry, epoch: int) -> None:
-        """Per-run progress/heartbeat gauges for live observers.
-
-        ``run_epoch`` is the simulation's position; ``run_heartbeat_s``
-        is a wall-clock stamp proving the epoch loop is advancing (a
-        stalled run keeps its last stamp, which is how the service
-        distinguishes "slow" from "wedged").  Wall-clock never feeds
-        back into simulated behaviour — it is observation only.
-        """
+        # Per-run progress/heartbeat gauges for live observers.
+        # ``run_epoch`` is the simulation's position; ``run_heartbeat_s``
+        # is a wall-clock stamp proving the epoch loop is advancing (a
+        # stalled run keeps its last stamp, which is how the service
+        # distinguishes "slow" from "wedged").  Wall-clock never feeds
+        # back into simulated behaviour — it is observation only.
         registry.gauge("run_epoch").set(epoch)
         registry.gauge("run_heartbeat_s").set(monotonic())
-
-    def sample_network_slabs(self, epoch: int, local_depth, vq_depth,
-                             fwd_depth, in_flight: int,
-                             delivered_bits: float) -> None:
-        """Publish one epoch's queue state from per-node depth slabs.
-
-        The vectorized backend's counterpart to :meth:`sample_network`:
-        the depth arguments are integer numpy arrays (one entry per
-        node), so the aggregate occupancy series cost three array sums
-        instead of a Python pass over every node object.  The per-node
-        labelled gauges of :meth:`sample_network` are deliberately not
-        published — materializing thousands of labelled samples per
-        epoch is exactly the per-node work the slabs exist to avoid;
-        use the ``fast`` backend for per-node drill-down.
-        """
-        registry = self.registry
-        local = int(local_depth.sum())
-        vq = int(vq_depth.sum())
-        fwd = int(fwd_depth.sum())
-        registry.gauge("net_local_cells", track=True).set(local, at=epoch)
-        registry.gauge("net_vq_cells", track=True).set(vq, at=epoch)
-        registry.gauge("net_fwd_cells", track=True).set(fwd, at=epoch)
-        registry.gauge("net_in_flight_cells", track=True).set(
-            in_flight, at=epoch
-        )
-        registry.gauge("net_backlog_cells", track=True).set(
-            local + vq + fwd + in_flight, at=epoch
-        )
-        registry.gauge("net_delivered_bits", track=True).set(
-            delivered_bits, at=epoch
-        )
-        self._sample_progress(registry, epoch)
 
 
 #: The module-wide no-op bundle the simulators default to.

@@ -5,8 +5,8 @@
   and merges results in submission order (deterministic by
   construction; see the module docstring for the guarantees).
 * :mod:`repro.perf.bench` — the ``sirius-repro bench`` harness: a
-  pinned scenario matrix timing the cell simulator's three backends
-  (``reference``/``fast``/``vectorized``), the vectorized backend at
+  pinned scenario matrix timing the cell simulator's two backends
+  (``reference``/``vectorized``), the vectorized backend at
   paper scale (512/4096 nodes), both fluid event-loop backends
   (``reference``/``incremental``) and an end-to-end sweep,
   snapshotted to ``BENCH_<date>.json``.
@@ -16,6 +16,7 @@ from repro.perf.bench import (
     BENCH_SCHEMA,
     BENCH_SCHEMA_V1,
     BENCH_SCHEMA_V2,
+    BENCH_SCHEMA_V3,
     VECTORIZED_4096_RSS_BUDGET_KB,
     run_bench,
     validate_payload,
@@ -35,6 +36,7 @@ __all__ = [
     "BENCH_SCHEMA",
     "BENCH_SCHEMA_V1",
     "BENCH_SCHEMA_V2",
+    "BENCH_SCHEMA_V3",
     "VECTORIZED_4096_RSS_BUDGET_KB",
     "FluidSweepJob",
     "ParallelSweepRunner",

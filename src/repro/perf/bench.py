@@ -6,11 +6,12 @@ committed files rather than a guess:
 
 * ``micro_epoch_loop`` — the cell simulator's epoch loop on a
   light all-to-all workload (many epochs, sparse per-epoch activity:
-  the regime the active-set fast path targets), measured once per
-  backend — ``fast``, ``reference`` and ``vectorized`` — so the
-  recorded ratios track the speedup each strategy is worth.  This
-  scenario runs at the pinned 64-node scale even under ``--quick``:
-  it is sub-second and its ratios feed the live regression guards.
+  the regime the vectorized engine's masks and idle-epoch skipping
+  target), measured once per backend — ``reference`` and
+  ``vectorized`` — so the recorded ratio tracks what the default
+  engine is worth.  This scenario runs at the pinned 64-node scale even under
+  ``--quick``: it is sub-second and its ratio feeds the live
+  regression guard.
 * ``scale_512`` / ``scale_4096`` — the vectorized backend at paper
   scale: a sparse workload spread over a pinned 10k-epoch budget,
   the runs EXPERIMENTS.md's Fig 9-at-scale recipe is built on.
@@ -44,6 +45,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
+from repro.core.backend import BACKENDS
 from repro.core.congestion import CongestionConfig
 from repro.core.network import SiriusNetwork
 from repro.obs.observation import Observation
@@ -63,6 +65,7 @@ __all__ = [
     "BENCH_SCHEMA",
     "BENCH_SCHEMA_V1",
     "BENCH_SCHEMA_V2",
+    "BENCH_SCHEMA_V3",
     "VECTORIZED_4096_RSS_BUDGET_KB",
     "run_bench",
     "validate_payload",
@@ -70,11 +73,14 @@ __all__ = [
 ]
 
 #: Schema tag of the emitted JSON; bump on incompatible layout changes.
-BENCH_SCHEMA = "sirius-bench/3"
+BENCH_SCHEMA = "sirius-bench/4"
 #: Previous tags, still accepted by :func:`validate_payload` so
-#: committed baselines keep validating (v1 lacks the vectorized
-#: scenarios; v2 has a single ``fluid_events`` record whose
-#: ``cells_per_s`` counted completed flows and no ``events_per_s``).
+#: committed baselines keep validating (v1–v3 also measured the
+#: since-removed ``fast`` backend and its ``micro_speedup``; v1 lacks
+#: the vectorized scenarios; v2 has a single ``fluid_events`` record
+#: whose ``cells_per_s`` counted completed flows and no
+#: ``events_per_s``).
+BENCH_SCHEMA_V3 = "sirius-bench/3"
 BENCH_SCHEMA_V2 = "sirius-bench/2"
 BENCH_SCHEMA_V1 = "sirius-bench/1"
 
@@ -84,7 +90,7 @@ MICRO_GRATING, MICRO_GRATING_QUICK = 8, 4
 MICRO_FLOWS, MICRO_FLOWS_QUICK = 300, 80
 #: Sparse regime: arrivals far apart, so most epochs touch a handful of
 #: nodes — the all-pairs reference loop pays the full O(n) scan per
-#: epoch while the active-set fast path pays only for live state.
+#: epoch while the vectorized engine pays only for live state.
 MICRO_LOAD = 0.002
 MICRO_MEAN_FLOW_BITS = 20 * KILOBYTE
 #: Fluid matrix scale: large enough that the O(steps × resources)
@@ -98,8 +104,6 @@ FLUID_BACKENDS_BENCH = ("reference", "incremental")
 SWEEP_LOADS = (0.1, 0.25, 0.5)
 SWEEP_FLOWS, SWEEP_FLOWS_QUICK = 400, 80
 
-#: The backend variants the micro scenario measures, ratio-pair first.
-MICRO_BACKENDS = ("fast", "reference", "vectorized")
 #: Paper-scale scenarios: (nodes, grating ports, flows), vectorized only.
 SCALE_SCENARIOS = ((512, 8, 1000), (4096, 64, 2000))
 #: Epoch budget of the scale scenarios; arrivals are spread over ~95 %
@@ -148,7 +152,7 @@ def _bench_micro(quick: bool) -> List[Dict[str, object]]:
     nodes, grating, n_flows = MICRO_NODES, MICRO_GRATING, MICRO_FLOWS
 
     records = []
-    for variant in MICRO_BACKENDS:
+    for variant in BACKENDS:
         # Best-of-3: the recorded ratios feed regression guards, so
         # scheduler noise must not contaminate the snapshot.
         wall = float("inf")
@@ -166,15 +170,16 @@ def _bench_micro(quick: bool) -> List[Dict[str, object]]:
             result.delivered_cells, backend=variant,
         ))
 
-    # Separate profiled pass (fast path): phase totals without
+    # Separate profiled pass (default engine): phase totals without
     # contaminating the headline wall-clock above.
     profiler = PhaseProfiler()
     net = SiriusNetwork(nodes, grating, uplink_multiplier=1.5,
-                        config=CongestionConfig(), seed=1, backend="fast")
+                        config=CongestionConfig(), seed=1)
     flows = _micro_workload(nodes, n_flows,
                             net.reference_node_bandwidth_bps)
     net.run(flows, obs=Observation(profiler=profiler))
-    records[0]["phase_totals_s"] = {
+    profiled = next(r for r in records if r["backend"] == net.backend)
+    profiled["phase_totals_s"] = {
         phase: round(seconds, 6)
         for phase, seconds in sorted(profiler.totals_s.items())
     }
@@ -279,8 +284,6 @@ def run_bench(*, quick: bool = False,
     records.append(_bench_sweep(quick, workers))
     if not quick:
         records.extend(_bench_scale())
-    fast = next(r for r in records
-                if r["scenario"] == "micro_epoch_loop[fast]")
     ref = next(r for r in records
                if r["scenario"] == "micro_epoch_loop[reference]")
     vec = next(r for r in records
@@ -294,10 +297,6 @@ def run_bench(*, quick: bool = False,
         "quick": quick,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "micro_speedup": (
-            round(fast["cells_per_s"] / ref["cells_per_s"], 3)
-            if ref["cells_per_s"] else 0.0
-        ),
         "vectorized_speedup": (
             round(vec["cells_per_s"] / ref["cells_per_s"], 3)
             if ref["cells_per_s"] else 0.0
@@ -323,7 +322,8 @@ def validate_payload(payload: Dict[str, object]) -> None:
     (on both a fresh ``--quick`` run and the committed baseline).
     """
     schema = payload.get("schema")
-    accepted = (BENCH_SCHEMA, BENCH_SCHEMA_V2, BENCH_SCHEMA_V1)
+    accepted = (BENCH_SCHEMA, BENCH_SCHEMA_V3, BENCH_SCHEMA_V2,
+                BENCH_SCHEMA_V1)
     if schema not in accepted:
         raise ValueError(
             f"schema mismatch: {schema!r} is not one of {accepted}"
@@ -346,14 +346,17 @@ def validate_payload(payload: Dict[str, object]) -> None:
                 f"record {record['scenario']!r} has no peak RSS"
             )
     scenarios = [r["scenario"] for r in records]
-    required = ["micro_epoch_loop[fast]", "micro_epoch_loop[reference]",
-                "sweep_e2e"]
-    if schema == BENCH_SCHEMA:
+    split_fluid = schema in (BENCH_SCHEMA, BENCH_SCHEMA_V3)
+    has_vectorized = schema != BENCH_SCHEMA_V1
+    required = ["micro_epoch_loop[reference]", "sweep_e2e"]
+    if schema != BENCH_SCHEMA:
+        required.append("micro_epoch_loop[fast]")
+    if split_fluid:
         required.extend(["fluid_events[reference]",
                          "fluid_events[incremental]"])
     else:
         required.append("fluid_events")
-    if schema in (BENCH_SCHEMA, BENCH_SCHEMA_V2):
+    if has_vectorized:
         required.append("micro_epoch_loop[vectorized]")
         if not payload.get("quick"):
             required.extend(["scale_512[vectorized]",
@@ -361,9 +364,9 @@ def validate_payload(payload: Dict[str, object]) -> None:
     for name in required:
         if name not in scenarios:
             raise ValueError(f"missing scenario {name!r}")
-    if "micro_speedup" not in payload:
+    if schema != BENCH_SCHEMA and "micro_speedup" not in payload:
         raise ValueError("payload missing micro_speedup")
-    if schema == BENCH_SCHEMA:
+    if split_fluid:
         for record in records:
             if not str(record["scenario"]).startswith("fluid_events["):
                 continue
@@ -373,7 +376,7 @@ def validate_payload(payload: Dict[str, object]) -> None:
                 )
         if "fluid_speedup" not in payload:
             raise ValueError("payload missing fluid_speedup")
-    if schema in (BENCH_SCHEMA, BENCH_SCHEMA_V2):
+    if has_vectorized:
         if "vectorized_speedup" not in payload:
             raise ValueError("payload missing vectorized_speedup")
         for record in records:
@@ -409,8 +412,6 @@ def main_text(payload: Dict[str, object]) -> str:
             f"{rate} "
             f"rss={record['peak_rss_kb']}KB"
         )
-    lines.append(f"  micro speedup (fast/reference): "
-                 f"{payload['micro_speedup']}x")
     if "vectorized_speedup" in payload:
         lines.append(f"  micro speedup (vectorized/reference): "
                      f"{payload['vectorized_speedup']}x")

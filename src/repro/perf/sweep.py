@@ -93,7 +93,6 @@ class SiriusSweepJob:
     seed: int = 1
     workload_seed: int = 2
     max_epochs: Optional[int] = None
-    fast_path: Optional[bool] = None
     backend: Optional[str] = None
     label: str = ""
 
@@ -116,7 +115,6 @@ class FluidSweepJob:
     pod_size: Optional[int] = None
     mean_flow_bits: float = 100 * KILOBYTE
     workload_seed: int = 2
-    fast_path: Optional[bool] = None
     backend: Optional[str] = None
     label: str = ""
 
@@ -191,7 +189,6 @@ def run_sirius_job(job: SiriusSweepJob, obs=None) -> SweepPoint:
         track_reorder=job.track_reorder,
         local_capacity_cells=job.local_capacity_cells,
         seed=job.seed,
-        fast_path=job.fast_path,
         backend=job.backend,
     )
     workload = _make_workload(
@@ -224,7 +221,7 @@ def run_fluid_job(job: FluidSweepJob) -> SweepPoint:
     """Execute one fluid-simulator job (module-level: picklable)."""
     if job.oversubscription is None:
         net = FluidNetwork(job.n_nodes, job.node_bandwidth_bps,
-                           backend=job.backend, fast_path=job.fast_path)
+                           backend=job.backend)
     else:
         pod = job.pod_size or max(2, job.n_nodes // 4)
         net = FluidNetwork(
@@ -234,7 +231,6 @@ def run_fluid_job(job: FluidSweepJob) -> SweepPoint:
                 job.oversubscription
             ),
             backend=job.backend,
-            fast_path=job.fast_path,
         )
     workload = _make_workload(
         job.n_nodes, job.load, job.node_bandwidth_bps,

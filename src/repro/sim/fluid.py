@@ -165,17 +165,13 @@ class FluidNetwork:
         ``incremental`` (default) keeps persistent max-min state and a
         completion heap; ``reference`` rebuilds everything per event.
         Both are bit-identical on any input.
-    fast_path:
-        Legacy boolean spelling of ``backend`` (``True`` →
-        ``incremental``, ``False`` → ``reference``).
     """
 
     def __init__(self, n_nodes: int, node_bandwidth_bps: float, *,
                  pod_map: Optional[Sequence[int]] = None,
                  pod_bandwidth_bps: Optional[float] = None,
                  base_rtt_s: float = 2 * US,
-                 backend: Optional[str] = None,
-                 fast_path: Optional[bool] = None) -> None:
+                 backend: Optional[str] = None) -> None:
         if n_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {n_nodes}")
         if node_bandwidth_bps <= 0:
@@ -193,8 +189,7 @@ class FluidNetwork:
         self.pod_map = list(pod_map) if pod_map is not None else None
         self.pod_bandwidth_bps = pod_bandwidth_bps
         self.base_rtt_s = base_rtt_s
-        self.backend = resolve_fluid_backend(backend, fast_path)
-        self.fast_path = self.backend != "reference"
+        self.backend = resolve_fluid_backend(backend)
 
     # -- resource vocabulary -------------------------------------------------
     def _flow_resources(self, flow: Flow) -> Tuple:

@@ -24,10 +24,11 @@ iterations, so keep node counts small.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.cell import Cell, Flow
-from repro.core.network import SimulationResult, SiriusNetwork
+from repro.core.cell import Flow
+from repro.core.ledger import RunLedger, SimulationResult
+from repro.core.network import SiriusNetwork
 from repro.core.schedule import SlotTiming
 
 
@@ -74,55 +75,24 @@ class SlotLevelSirius(SiriusNetwork):
             max_epochs: Optional[int] = None,
             drain_epochs: int = 50_000,
             check_invariants: bool = False) -> SimulationResult:
+        ledger = RunLedger(self, flows, max_epochs=max_epochs,
+                           drain_epochs=drain_epochs,
+                           check_invariants=check_invariants)
         slots_per_epoch = self.schedule.slots_per_epoch
         slot_dur = self.timing.slot_duration_s
-        epoch_dur = self.schedule.epoch_duration_s
-        payload_bits = self.timing.payload_bits
-        flows = list(flows)
-        for i in range(1, len(flows)):
-            if flows[i].arrival_time < flows[i - 1].arrival_time:
-                raise ValueError("flows must be sorted by arrival time")
-        flow_by_id: Dict[int, Flow] = {}
-        last_cell_bits: Dict[int, int] = {}
-        offered = 0.0
-        for flow in flows:
-            flow.segment(payload_bits)
-            flow_by_id[flow.flow_id] = flow
-            last_cell_bits[flow.flow_id] = (
-                flow.size_bits - (flow.n_cells - 1) * payload_bits
-            )
-            offered += flow.size_bits
-        if max_epochs is None:
-            last_arrival = flows[-1].arrival_time if flows else 0.0
-            max_epochs = int(last_arrival / epoch_dur) + drain_epochs
-
+        epoch_dur = ledger.epoch_s
+        in_flight = ledger.in_flight
         nodes = self.nodes
-        pending = len(flows)
-        delivered_bits = 0.0
-        peak_reorder = 0
-        next_flow = 0
-        in_flight: List[Tuple[int, Cell, int]] = []
+        ideal = self.config.ideal
+        grant_cap = self.config.effective_grant_cap
         epoch = 0
-        grant_cap = (self.config.max_grants_per_destination
-                     or self.config.queue_threshold)
-
-        while epoch < max_epochs:
+        while epoch < ledger.max_epochs:
             # Epoch-boundary protocol phases (identical to the epoch sim).
-            if not self.config.ideal:
+            if not ideal:
                 for node in nodes:
                     node.apply_grants_and_expiries()
-            horizon = (epoch + 1) * epoch_dur
-            while next_flow < len(flows) and (
-                flows[next_flow].arrival_time < horizon
-            ):
-                flow = flows[next_flow]
-                src_node = nodes[flow.src]
-                for seq in range(flow.n_cells):
-                    src_node.enqueue_local(
-                        Cell(flow.flow_id, seq, flow.src, flow.dst)
-                    )
-                next_flow += 1
-            if not self.config.ideal:
+            ledger.admit((epoch + 1) * epoch_dur)
+            if not ideal:
                 for node in nodes:
                     for src, dst in node.decide_grants(grant_cap):
                         nodes[src].grant_inbox.append((node.node, dst))
@@ -136,70 +106,15 @@ class SlotLevelSirius(SiriusNetwork):
             for slot in range(slots_per_epoch):
                 now = epoch * epoch_dur + (slot + 1) * slot_dur
                 # Deliver the previous slot's cells.
-                if in_flight:
-                    for recv, cell, sender in in_flight:
-                        node = nodes[recv]
-                        if cell.dst != recv:
-                            node.receive_transit(cell)
-                            continue
-                        if sender == cell.src and not self.config.ideal:
-                            node.note_direct_arrival(sender)
-                        flow = flow_by_id[cell.flow_id]
-                        if self.track_reorder:
-                            node.reorder.accept(cell.flow_id, cell.seq)
-                        if cell.seq == flow.n_cells - 1:
-                            delivered_bits += last_cell_bits[cell.flow_id]
-                        else:
-                            delivered_bits += payload_bits
-                        if flow.record_delivery(now - slot_dur):
-                            pending -= 1
-                            if self.track_reorder:
-                                peak = node.reorder.peak_flow_cells
-                                peak_reorder = max(peak_reorder, peak)
-                                node.reorder.finish_flow(cell.flow_id)
-                    in_flight = []
+                ledger.deliver(now - slot_dur)
                 # Transmit on this slot's physical connectivity.
                 for src, dst in self._slot_pairs[slot]:
                     for cell in nodes[src].dequeue_for(dst, 1):
                         in_flight.append((dst, cell, src))
 
-            if check_invariants:
-                for node in nodes:
-                    node.check_invariants()
+            ledger.end_epoch(epoch)
             epoch += 1
-            if pending == 0 and not in_flight and next_flow >= len(flows):
+            if ledger.done:
                 break
 
-        # Final delivery pass.
-        if in_flight:
-            now = epoch * epoch_dur
-            for recv, cell, sender in in_flight:
-                node = nodes[recv]
-                if cell.dst != recv:
-                    node.receive_transit(cell)
-                    continue
-                flow = flow_by_id[cell.flow_id]
-                if self.track_reorder:
-                    node.reorder.accept(cell.flow_id, cell.seq)
-                if cell.seq == flow.n_cells - 1:
-                    delivered_bits += last_cell_bits[cell.flow_id]
-                else:
-                    delivered_bits += payload_bits
-                if flow.record_delivery(now):
-                    pending -= 1
-
-        duration = max(epoch, 1) * epoch_dur
-        return SimulationResult(
-            flows=flows,
-            epochs=epoch,
-            duration_s=duration,
-            delivered_bits=delivered_bits,
-            offered_bits=offered,
-            reference_node_bandwidth_bps=self.reference_node_bandwidth_bps,
-            n_nodes=self.topology.n_nodes,
-            cell_bytes=self.timing.cell_bytes,
-            peak_fwd_cells=max(n.peak_fwd_cells for n in nodes),
-            peak_local_cells=max(n.peak_local_cells for n in nodes),
-            peak_reorder_cells=peak_reorder,
-            config=self.config,
-        )
+        return ledger.finish(epoch)

@@ -200,7 +200,7 @@ class TestFamilyPrefixFiltering:
 
     def test_family_prefix_combines_with_exact_code(self):
         rules = filter_rules(ALL_RULES, select=["S8", "D201"])
-        assert {r.code for r in rules} == {"S801", "S802", "S803", "D201"}
+        assert {r.code for r in rules} == {"S803", "D201"}
 
     def test_rule_names_are_not_treated_as_prefixes(self):
         # "unit-literal" must match only its own rule, never act as a

@@ -1,4 +1,4 @@
-"""Fixture tests for the ``S8xx`` fast-path parity-audit rules."""
+"""Fixture tests for the ``S803`` backend phase-structure rule."""
 
 from repro.checks.engine import check_source
 from repro.checks.flow.parity_rules import PARITY_RULES
@@ -6,202 +6,6 @@ from repro.checks.flow.parity_rules import PARITY_RULES
 
 def _codes(findings):
     return [f.rule for f in findings]
-
-
-#: Both paths deliver; the fast path additionally resets state the
-#: reference path never touches — the injected parity bug.
-_BUGGY = (
-    "class Node:\n"
-    "    def deliver(self):\n"
-    "        pass\n"
-    "    def reset_window(self):\n"
-    "        pass\n"
-    "class Net:\n"
-    "    def step(self, nodes, active, fast):\n"
-    "        if fast:\n"
-    "            for idx in sorted(active):\n"
-    "                node = nodes[idx]\n"
-    "                node.deliver()\n"
-    "                node.reset_window()\n"
-    "        else:\n"
-    "            for node in nodes:\n"
-    "                node.deliver()\n"
-)
-
-#: Clean twin: identical node mutations on both sides; the fast side
-#: also maintains its function-local *bookkeeping* set, which is exempt
-#: by design (a parameter would not be — that state is shared).
-_CLEAN = (
-    "class Node:\n"
-    "    def deliver(self):\n"
-    "        pass\n"
-    "class Net:\n"
-    "    def step(self, nodes, fast):\n"
-    "        active = set(range(len(nodes)))\n"
-    "        if fast:\n"
-    "            for idx in sorted(active):\n"
-    "                node = nodes[idx]\n"
-    "                node.deliver()\n"
-    "                active.discard(idx)\n"
-    "        else:\n"
-    "            for node in nodes:\n"
-    "                node.deliver()\n"
-)
-
-
-class TestS801FastOnlyState:
-    def test_catches_fast_only_mutation(self):
-        findings = check_source(_BUGGY, PARITY_RULES,
-                                relpath="src/repro/core/network.py")
-        assert _codes(findings) == ["S801"]
-        assert "nodes.reset_window()" in findings[0].message
-        assert "Net.step" in findings[0].message
-
-    def test_clean_twin_with_bookkeeping_set_is_silent(self):
-        findings = check_source(_CLEAN, PARITY_RULES,
-                                relpath="src/repro/core/network.py")
-        assert findings == []
-
-    def test_alias_resolution_equates_indexed_and_iterated_access(self):
-        # nodes[idx].deliver() on one side, for-loop alias on the other:
-        # both must root at ``nodes`` and compare equal.
-        findings = check_source(
-            "class Node:\n"
-            "    def deliver(self):\n"
-            "        pass\n"
-            "def step(nodes, active, fast):\n"
-            "    if fast:\n"
-            "        for idx in sorted(active):\n"
-            "            nodes[idx].deliver()\n"
-            "    else:\n"
-            "        for node in nodes:\n"
-            "            node.deliver()\n",
-            PARITY_RULES,
-            relpath="src/repro/core/network.py",
-        )
-        assert findings == []
-
-    def test_suppression_documents_deliberate_asymmetry(self):
-        suppressed = _BUGGY.replace(
-            "                node.reset_window()\n",
-            "                node.reset_window()  # lint: ignore[S801]\n",
-        )
-        findings = check_source(suppressed, PARITY_RULES,
-                                relpath="src/repro/core/network.py")
-        assert findings == []
-
-    def test_not_fast_guard_counts_as_reference_side(self):
-        findings = check_source(
-            "class Node:\n"
-            "    def deliver(self):\n"
-            "        pass\n"
-            "def step(nodes, fast):\n"
-            "    if not fast:\n"
-            "        for node in nodes:\n"
-            "            node.deliver()\n",
-            PARITY_RULES,
-            relpath="src/repro/core/network.py",
-        )
-        assert _codes(findings) == ["S802"]
-
-    def test_attribute_assignment_counts_as_state(self):
-        findings = check_source(
-            "def step(net, fast):\n"
-            "    if fast:\n"
-            "        net.epoch = net.epoch + 1\n"
-            "    else:\n"
-            "        pass\n",
-            PARITY_RULES,
-            relpath="src/repro/core/network.py",
-        )
-        assert _codes(findings) == ["S801"]
-        assert "net.epoch =" in findings[0].message
-
-
-class TestS802ReferenceOnlyState:
-    def test_catches_reference_only_mutation(self):
-        findings = check_source(
-            "class Node:\n"
-            "    def deliver(self):\n"
-            "        pass\n"
-            "    def flush(self):\n"
-            "        pass\n"
-            "def step(nodes, active, fast):\n"
-            "    if fast:\n"
-            "        for idx in sorted(active):\n"
-            "            nodes[idx].deliver()\n"
-            "    else:\n"
-            "        for node in nodes:\n"
-            "            node.deliver()\n"
-            "            node.flush()\n",
-            PARITY_RULES,
-            relpath="src/repro/core/network.py",
-        )
-        assert _codes(findings) == ["S802"]
-        assert "nodes.flush()" in findings[0].message
-
-
-class TestDesignedExemptions:
-    def test_observability_roots_are_exempt(self):
-        findings = check_source(
-            "def step(tracer, fast):\n"
-            "    if fast:\n"
-            "        tracer.record('fast')\n"
-            "    else:\n"
-            "        pass\n",
-            PARITY_RULES,
-            relpath="src/repro/core/network.py",
-        )
-        assert findings == []
-
-    def test_reads_on_one_side_only_are_fine(self):
-        # The fast path reading *less* state is its entire point;
-        # only mutations participate in the parity diff.
-        findings = check_source(
-            "def step(rates, remaining, fast):\n"
-            "    if fast:\n"
-            "        best = min(rates, key=rates.get)\n"
-            "    else:\n"
-            "        best = None\n"
-            "        for fid, rate in rates.items():\n"
-            "            if best is None or rate < remaining[best]:\n"
-            "                best = fid\n"
-            "    return best\n",
-            PARITY_RULES,
-            relpath="src/repro/core/network.py",
-        )
-        assert findings == []
-
-    def test_nested_closure_called_only_fast_side(self):
-        # A rebuild helper invoked only under the fast guard is
-        # fast-side code; the sets it maintains are bookkeeping.
-        findings = check_source(
-            "def run(nodes, fast):\n"
-            "    active = set()\n"
-            "    def rebuild():\n"
-            "        active.clear()\n"
-            "        for idx, node in enumerate(nodes):\n"
-            "            active.add(idx)\n"
-            "    if fast:\n"
-            "        rebuild()\n"
-            "    else:\n"
-            "        pass\n",
-            PARITY_RULES,
-            relpath="src/repro/core/network.py",
-        )
-        assert findings == []
-
-    def test_conjunction_guard_is_recognized(self):
-        findings = check_source(
-            "def step(net, announced, fast):\n"
-            "    if announced and fast:\n"
-            "        net.pending = 0\n"
-            "    else:\n"
-            "        pass\n",
-            PARITY_RULES,
-            relpath="src/repro/core/network.py",
-        )
-        assert _codes(findings) == ["S801"]
 
 
 #: Two epoch loops (both profile deliver+transmit) with one label

@@ -1,15 +1,14 @@
 """Every simulation backend is bit-identical to the reference loop.
 
-The cell simulator keeps three interchangeable epoch-loop strategies
-(:mod:`repro.core.backend`): the all-nodes ``reference`` loop, the
-active-set ``fast`` path (the default) and the numpy-slab
-``vectorized`` engine.  All three share the reference's single RNG
-stream and visit order, so a seeded run must produce *exactly* the
-same ``SimulationResult``, not merely a statistically similar one.
-These tests pin that contract three ways across every scheduling mode
-the simulator supports, plus a failure/recovery scenario and a scale
-ladder (16/64/256 nodes); the fluid simulator's precomputed-resources
-fast path gets the same treatment.
+The cell simulator keeps two interchangeable epoch-loop strategies
+(:mod:`repro.core.backend`): the all-nodes ``reference`` loop and the
+numpy-slab ``vectorized`` engine (the default).  Both share the
+reference's single RNG stream and visit order, so a seeded run must
+produce *exactly* the same ``SimulationResult``, not merely a
+statistically similar one.  These tests pin that contract across every
+scheduling mode the simulator supports, plus a failure/recovery
+scenario and a scale ladder (16/64/256 nodes); the fluid simulator's
+incremental engine gets the same treatment.
 """
 
 import pytest
@@ -23,8 +22,12 @@ from repro import (
     WorkloadConfig,
     pod_map_for,
 )
-from repro.core.backend import BACKEND_ENV, BACKENDS, resolve_backend
-from repro.core.fastpath import FAST_PATH_ENV, resolve_fast_path
+from repro.core.backend import (
+    BACKEND_ENV,
+    BACKENDS,
+    resolve_backend,
+    resolve_fluid_backend,
+)
 from repro.units import KILOBYTE, MEGABYTE
 
 N_NODES, GRATING = 12, 4
@@ -129,12 +132,9 @@ class TestSiriusEquivalence:
             FailurePlan.single_failure(3, at_epoch=30, recover_at=60)
         )))
 
-    def test_fast_path_on_by_default(self):
-        assert SiriusNetwork(8, 4).fast_path is resolve_fast_path(None)
-
 
 class TestScaleParity:
-    """The three-way contract holds as the topology grows."""
+    """The two-way contract holds as the topology grows."""
 
     @pytest.mark.parametrize("case", sorted(SCALE_CASES))
     def test_identical_results_at_scale(self, case):
@@ -161,19 +161,14 @@ class TestScaleParity:
 
 
 class TestBackendResolution:
+    def test_two_backends(self):
+        assert BACKENDS == ("reference", "vectorized")
+
     def test_explicit_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "reference")
         assert resolve_backend("vectorized") == "vectorized"
-        assert SiriusNetwork(8, 4, backend="fast").backend == "fast"
-
-    def test_explicit_backend_wins_over_fast_path(self):
-        assert resolve_backend("vectorized", fast_path=False) == "vectorized"
-        net = SiriusNetwork(8, 4, backend="reference", fast_path=True)
-        assert net.backend == "reference"
-
-    def test_legacy_fast_path_argument_maps(self):
-        assert resolve_backend(None, fast_path=True) == "fast"
-        assert resolve_backend(None, fast_path=False) == "reference"
+        assert SiriusNetwork(8, 4, backend="vectorized").backend == (
+            "vectorized")
 
     def test_env_selects_backend(self, monkeypatch):
         for name in BACKENDS:
@@ -181,22 +176,10 @@ class TestBackendResolution:
             assert resolve_backend(None) == name
             assert SiriusNetwork(8, 4).backend == name
 
-    def test_env_wins_over_legacy_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "vectorized")
-        monkeypatch.setenv(FAST_PATH_ENV, "0")
+    def test_default_is_vectorized(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert resolve_backend(None) == "vectorized"
-
-    def test_legacy_env_still_honoured(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setenv(FAST_PATH_ENV, "0")
-        assert resolve_backend(None) == "reference"
-        monkeypatch.setenv(FAST_PATH_ENV, "1")
-        assert resolve_backend(None) == "fast"
-
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.delenv(FAST_PATH_ENV, raising=False)
-        assert resolve_backend(None) == "fast"
+        assert SiriusNetwork(8, 4).backend == "vectorized"
 
     def test_invalid_names_raise(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -205,18 +188,44 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match=BACKEND_ENV):
             resolve_backend(None)
 
-    def test_fast_path_attribute_tracks_backend(self):
-        assert SiriusNetwork(8, 4, backend="vectorized").fast_path is True
-        assert SiriusNetwork(8, 4, backend="fast").fast_path is True
-        assert SiriusNetwork(8, 4, backend="reference").fast_path is False
+    def test_removed_fast_backend_is_rejected(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        with pytest.raises(ValueError, match="'reference', 'vectorized'"):
+            SiriusNetwork(8, 4, backend="fast")
+        monkeypatch.setenv(BACKEND_ENV, "fast")
+        with pytest.raises(ValueError, match="'reference', 'vectorized'"):
+            SiriusNetwork(8, 4)
+        with pytest.raises(ValueError, match="'incremental'"):
+            FluidNetwork(8, 4e11)
+
+    def test_legacy_spellings_are_gone(self, monkeypatch):
+        with pytest.raises(TypeError):
+            SiriusNetwork(8, 4, fast_path=True)
+        with pytest.raises(TypeError):
+            FluidNetwork(8, 4e11, fast_path=True)
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.setenv("REPRO_FAST_PATH", "0")
+        assert SiriusNetwork(8, 4).backend == "vectorized"
+        assert FluidNetwork(8, 4e11).backend == "incremental"
+
+    def test_fluid_resolution(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        assert resolve_fluid_backend(None) == "incremental"
+        assert resolve_fluid_backend("reference") == "reference"
+        monkeypatch.setenv(BACKEND_ENV, "vectorized")
+        assert resolve_fluid_backend(None) == "incremental"
+        monkeypatch.setenv(BACKEND_ENV, "reference")
+        assert resolve_fluid_backend(None) == "reference"
+        with pytest.raises(ValueError, match="unknown fluid backend"):
+            resolve_fluid_backend("vectorized")
 
 
 class TestFluidEquivalence:
     def _pair(self, **net_kwargs):
         bandwidth = 4e11
         results = []
-        for fast in (True, False):
-            net = FluidNetwork(N_NODES, bandwidth, fast_path=fast,
+        for backend in ("incremental", "reference"):
+            net = FluidNetwork(N_NODES, bandwidth, backend=backend,
                                **net_kwargs)
             flows = _workload(bandwidth, n_flows=120, load=0.6)
             results.append(net.run(flows))
@@ -246,27 +255,3 @@ class TestFluidEquivalence:
         fast, reference = self._pair(**pod_kwargs)
         assert (self._fluid_fingerprint(fast)
                 == self._fluid_fingerprint(reference))
-
-
-class TestFastPathResolution:
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(FAST_PATH_ENV, "0")
-        assert resolve_fast_path(True) is True
-        monkeypatch.setenv(FAST_PATH_ENV, "1")
-        assert resolve_fast_path(False) is False
-
-    def test_env_off_values(self, monkeypatch):
-        for value in ("0", "false", "off", "no", "reference", "FALSE"):
-            monkeypatch.setenv(FAST_PATH_ENV, value)
-            assert resolve_fast_path(None) is False, value
-
-    def test_env_on_values_and_default(self, monkeypatch):
-        monkeypatch.delenv(FAST_PATH_ENV, raising=False)
-        assert resolve_fast_path(None) is True
-        monkeypatch.setenv(FAST_PATH_ENV, "1")
-        assert resolve_fast_path(None) is True
-
-    def test_env_reaches_network_constructor(self, monkeypatch):
-        monkeypatch.setenv(FAST_PATH_ENV, "reference")
-        assert SiriusNetwork(8, 4).fast_path is False
-        assert FluidNetwork(8, 4e11).fast_path is False

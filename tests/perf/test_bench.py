@@ -9,6 +9,7 @@ from repro.perf import (
     BENCH_SCHEMA,
     BENCH_SCHEMA_V1,
     BENCH_SCHEMA_V2,
+    BENCH_SCHEMA_V3,
     VECTORIZED_4096_RSS_BUDGET_KB,
     run_bench,
     validate_payload,
@@ -18,10 +19,20 @@ from repro.perf import (
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
+def _with_fast(payload, schema=BENCH_SCHEMA_V3):
+    """A pre-v4 payload: a ``fast`` micro record and ``micro_speedup``."""
+    records = [dict(r) for r in payload["records"]]
+    reference = next(r for r in records
+                     if r["scenario"] == "micro_epoch_loop[reference]")
+    records.append(dict(reference, scenario="micro_epoch_loop[fast]",
+                        backend="fast"))
+    return dict(payload, schema=schema, records=records, micro_speedup=2.0)
+
+
 @pytest.fixture(scope="module")
 def quick_payload():
     # The tier-1 smoke invocation of `sirius-repro bench --quick`: the
-    # pinned 64-node micro scenario runs for all three backends even in
+    # pinned 64-node micro scenario runs for both backends even in
     # quick mode (only fluid/sweep shrink and the scale runs drop out).
     return run_bench(quick=True, workers=2)
 
@@ -35,7 +46,6 @@ class TestQuickRun:
     def test_all_scenarios_present(self, quick_payload):
         scenarios = {r["scenario"] for r in quick_payload["records"]}
         assert scenarios == {
-            "micro_epoch_loop[fast]",
             "micro_epoch_loop[reference]",
             "micro_epoch_loop[vectorized]",
             "fluid_events[reference]",
@@ -47,12 +57,12 @@ class TestQuickRun:
         micro = [r for r in quick_payload["records"]
                  if r["scenario"].startswith("micro_epoch_loop")]
         assert {r["backend"] for r in micro} == {
-            "reference", "fast", "vectorized",
+            "reference", "vectorized",
         }
         assert all(r["nodes"] == 64 for r in micro)
 
     def test_speedups_recorded(self, quick_payload):
-        assert quick_payload["micro_speedup"] > 0
+        assert "micro_speedup" not in quick_payload
         assert quick_payload["vectorized_speedup"] > 0
         assert quick_payload["fluid_speedup"] > 0
 
@@ -80,9 +90,10 @@ class TestQuickRun:
         assert all(g > 0 for g in sweep["goodputs"])
 
     def test_phase_totals_attached_to_micro(self, quick_payload):
-        fast = next(r for r in quick_payload["records"]
-                    if r["scenario"] == "micro_epoch_loop[fast]")
-        totals = fast["phase_totals_s"]
+        # The profiled pass runs the default engine.
+        default = next(r for r in quick_payload["records"]
+                       if r["scenario"] == "micro_epoch_loop[vectorized]")
+        totals = default["phase_totals_s"]
         # The profiled pass must cover the epoch loop's phases.
         assert {"deliver", "control", "transmit"} <= set(totals)
         assert all(v >= 0 for v in totals.values())
@@ -91,7 +102,8 @@ class TestQuickRun:
         path = write_payload(quick_payload, str(tmp_path / "bench.json"))
         reloaded = json.loads(Path(path).read_text())
         validate_payload(reloaded)
-        assert reloaded["micro_speedup"] == quick_payload["micro_speedup"]
+        assert (reloaded["vectorized_speedup"]
+                == quick_payload["vectorized_speedup"])
 
 
 class TestValidation:
@@ -157,17 +169,30 @@ class TestValidation:
             validate_payload(dict(quick_payload, quick=False,
                                   records=records))
 
+    def test_accepts_v3_payload_with_fast_record(self, quick_payload):
+        # Committed v1-v3 baselines also measured the since-removed
+        # ``fast`` backend; they keep validating, and still need it.
+        v3 = _with_fast(quick_payload, BENCH_SCHEMA_V3)
+        validate_payload(v3)
+        v3.pop("micro_speedup")
+        with pytest.raises(ValueError, match="micro_speedup"):
+            validate_payload(v3)
+        with pytest.raises(ValueError, match=r"micro_epoch_loop\[fast\]"):
+            validate_payload(dict(quick_payload, schema=BENCH_SCHEMA_V3,
+                                  micro_speedup=2.0))
+
     def test_accepts_v1_payload_without_vectorized(self, quick_payload):
         # Committed v1 baselines predate the vectorized backend and
         # the split fluid scenarios; they must keep validating without
         # those records or speedup fields.
-        records = [dict(r) for r in quick_payload["records"]
+        records = [dict(r) for r in _with_fast(quick_payload)["records"]
                    if r["scenario"] != "micro_epoch_loop[vectorized]"
                    and r["scenario"] != "fluid_events[incremental]"]
         for record in records:
             if record["scenario"] == "fluid_events[reference]":
                 record["scenario"] = "fluid_events"
-        v1 = dict(quick_payload, schema=BENCH_SCHEMA_V1, records=records)
+        v1 = dict(quick_payload, schema=BENCH_SCHEMA_V1, records=records,
+                  micro_speedup=2.0)
         v1.pop("vectorized_speedup")
         v1.pop("fluid_speedup")
         validate_payload(v1)
@@ -175,13 +200,14 @@ class TestValidation:
     def test_accepts_v2_payload_with_single_fluid_record(self, quick_payload):
         # Committed v2 baselines have one fluid_events record with no
         # events_per_s field and no fluid_speedup headline.
-        records = [dict(r) for r in quick_payload["records"]
+        records = [dict(r) for r in _with_fast(quick_payload)["records"]
                    if r["scenario"] != "fluid_events[incremental]"]
         for record in records:
             if record["scenario"] == "fluid_events[reference]":
                 record["scenario"] = "fluid_events"
                 record.pop("events_per_s")
-        v2 = dict(quick_payload, schema=BENCH_SCHEMA_V2, records=records)
+        v2 = dict(quick_payload, schema=BENCH_SCHEMA_V2, records=records,
+                  micro_speedup=2.0)
         v2.pop("fluid_speedup")
         validate_payload(v2)
 
@@ -195,9 +221,10 @@ class TestCommittedBaseline:
             validate_payload(payload)
 
     def test_baseline_records_backend_wins(self):
-        # The acceptance bars: >= 2x cells/s for the fast path and
-        # >= 3x for the vectorized backend over the reference on the
-        # pinned (non-quick) micro scenario.
+        # The acceptance bars: >= 3x cells/s for the vectorized backend
+        # over the reference on the pinned (non-quick) micro scenario,
+        # and >= 2x for the since-removed fast path where a baseline
+        # recorded it.
         full = [
             json.loads(path.read_text())
             for path in REPO_ROOT.glob("BENCH_*.json")
@@ -205,20 +232,22 @@ class TestCommittedBaseline:
         full = [p for p in full if not p["quick"]]
         assert full, "no full-scale committed baseline"
         for payload in full:
-            assert payload["micro_speedup"] >= 2.0
-            if payload["schema"] in (BENCH_SCHEMA, BENCH_SCHEMA_V2):
+            if "micro_speedup" in payload:
+                assert payload["micro_speedup"] >= 2.0
+            if payload["schema"] != BENCH_SCHEMA_V1:
                 assert payload["vectorized_speedup"] >= 3.0
 
     def test_baseline_records_fluid_win(self):
         # The incremental fluid engine's acceptance bar: the committed
-        # full-scale v3 baseline must show >= 10x events/s over the
+        # full-scale v3+ baseline must show >= 10x events/s over the
         # reference loop on the bench matrix workload.
         v3 = [
             json.loads(path.read_text())
             for path in REPO_ROOT.glob("BENCH_*.json")
         ]
         v3 = [p for p in v3
-              if p["schema"] == BENCH_SCHEMA and not p["quick"]]
+              if p["schema"] in (BENCH_SCHEMA, BENCH_SCHEMA_V3)
+              and not p["quick"]]
         assert v3, "no committed v3 full-scale baseline"
         for payload in v3:
             assert payload["fluid_speedup"] >= 10.0
@@ -229,8 +258,7 @@ class TestCommittedBaseline:
             for path in REPO_ROOT.glob("BENCH_*.json")
         ]
         v2 = [p for p in v2
-              if p["schema"] in (BENCH_SCHEMA, BENCH_SCHEMA_V2)
-              and not p["quick"]]
+              if p["schema"] != BENCH_SCHEMA_V1 and not p["quick"]]
         assert v2, "no committed v2+ full-scale baseline"
         for payload in v2:
             scale = {r["scenario"]: r for r in payload["records"]

@@ -1,15 +1,20 @@
-"""Tier-1 guard: the non-reference backends must actually be faster.
+"""Tier-1 guard: the vectorized backend must actually be faster.
 
-Equivalence tests prove the fast and vectorized backends compute the
-same results; these tests prove they still pay for their complexity.
-All backends run live, in-process, on the bench harness's pinned micro
-scenario (64 nodes, sparse activity — the regime the active-set and
-slab reworks target).  The assertion bars sit well below the recorded
-speedups (see the committed ``BENCH_<date>.json``: ~2.9x fast, ~3.5x
-vectorized) so CI noise and slow machines cannot flake them — but a
-regression that makes a backend pointless still fails.
+Equivalence tests prove the vectorized backend computes the same
+results as the reference loop; this test proves it still pays for its
+complexity.  Both backends run live, in-process, on the bench
+harness's pinned micro scenario (64 nodes, sparse activity — the
+regime the masks and idle-epoch skipping target).  Host speed drifts
+within seconds, so the two sides are interleaved trial by trial, each
+after a ``gc.collect()``, and the guard reads the median of the
+per-pair ratios: a drift then hits both sides of a pair alike.  The
+bar sits below the recorded speedup (see the committed
+``BENCH_<date>.json``: ~3.5x) — but a regression that makes the
+backend pointless still fails.
 """
 
+import gc
+import statistics
 import time
 
 from repro.core.congestion import CongestionConfig
@@ -21,13 +26,11 @@ from repro.perf.bench import (
     _micro_workload,
 )
 
-#: Below the measured gaps (fast ~2.9x, vectorized ~3.5x on this
-#: scenario) but high enough that losing the active-set or slab
-#: machinery — not just noise — is what trips them.  The vectorized
-#: bar is the backend's acceptance criterion: it must earn a 3x gap
-#: over the reference loop at 64 nodes to justify a third strategy.
-MIN_FAST_SPEEDUP = 1.3
+#: The vectorized backend's acceptance criterion: it must earn a 3x gap
+#: over the reference loop at 64 nodes to justify a second strategy.
 MIN_VECTORIZED_SPEEDUP = 3.0
+#: Interleaved reference/vectorized trial pairs.
+PAIRS = 5
 
 
 def _timed_run(backend: str) -> float:
@@ -36,31 +39,22 @@ def _timed_run(backend: str) -> float:
                         seed=1, backend=backend)
     flows = _micro_workload(MICRO_NODES, MICRO_FLOWS,
                             net.reference_node_bandwidth_bps)
+    gc.collect()
     start = time.perf_counter()
     net.run(flows)
     return time.perf_counter() - start
 
 
-def _best_of(backend: str, reps: int = 3) -> float:
-    return min(_timed_run(backend) for _ in range(reps))
-
-
 def test_backends_beat_reference():
-    # Warm-up pass per backend absorbs first-call costs (imports,
-    # allocator growth, numpy initialization), then best-of-3 per
-    # backend damps scheduler noise.
-    for backend in ("fast", "vectorized", "reference"):
+    # A warm-up pass per backend absorbs first-call costs (imports,
+    # allocator growth, numpy initialization).
+    for backend in ("vectorized", "reference"):
         _timed_run(backend)
-    fast = _best_of("fast")
-    vectorized = _best_of("vectorized")
-    reference = _best_of("reference")
-    fast_speedup = reference / fast
-    vectorized_speedup = reference / vectorized
-    assert fast_speedup >= MIN_FAST_SPEEDUP, (
-        f"fast backend only {fast_speedup:.2f}x over reference "
-        f"(required {MIN_FAST_SPEEDUP}x)"
-    )
-    assert vectorized_speedup >= MIN_VECTORIZED_SPEEDUP, (
-        f"vectorized backend only {vectorized_speedup:.2f}x over "
-        f"reference (required {MIN_VECTORIZED_SPEEDUP}x)"
+    ratios = [_timed_run("reference") / _timed_run("vectorized")
+              for _ in range(PAIRS)]
+    speedup = statistics.median(ratios)
+    assert speedup >= MIN_VECTORIZED_SPEEDUP, (
+        f"vectorized backend only {speedup:.2f}x over reference "
+        f"(required {MIN_VECTORIZED_SPEEDUP}x; pairs "
+        f"{[round(r, 2) for r in ratios]})"
     )
