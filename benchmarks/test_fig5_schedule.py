@@ -62,7 +62,8 @@ def test_fig5b_schedule_table(benchmark):
 
 def test_paper_scaling_examples(benchmark):
     # 4,096 racks through 16-port gratings with 256 uplinks (§4.1).
-    # One round: the full-scale topology allocates ~1M uplink records.
+    # The wiring is closed form, so construction stores none of the
+    # ~1M uplinks; one round is plenty.
     dc = benchmark.pedantic(lambda: SiriusTopology(4096, 16),
                             rounds=1, iterations=1)
     emit_table(

@@ -38,6 +38,7 @@ from repro.core.congestion import (
     record_grant_decision,
 )
 from repro.core.reorder import ReorderTracker
+from repro.core.routing import OtherNodes
 from repro.obs.events import NULL_TRACER
 from repro.obs.metrics import NULL_REGISTRY
 
@@ -131,11 +132,10 @@ class SiriusNode:
         self.n_nodes = n_nodes
         self.config = config
         self.rng = rng
-        # Candidate-intermediate list, built on first use: at
-        # paper-scale (4096 nodes) the eager per-node list is ~N**2
-        # ints of construction cost and memory, paid even by nodes
-        # that never source a single cell.
-        self._others_cache: List[int] = None
+        # Candidate intermediates: every other node, as an index
+        # computation rather than a list — an eager list per sending
+        # node is ~N**2 ints at paper scale (4095 each at 4096 nodes).
+        self._others = OtherNodes(n_nodes, node)
 
         # LOCAL buffer, partitioned by destination, plus request bookkeeping.
         self.local_by_dst: Dict[int, Deque[Cell]] = {}
@@ -201,16 +201,6 @@ class SiriusNode:
         """Attach an :class:`repro.obs.Observation`'s planes."""
         self._tracer = obs.tracer
         self._registry = obs.registry
-
-    @property
-    def _others(self) -> List[int]:
-        """Every other node id, ascending (lazily built and cached)."""
-        others = self._others_cache
-        if others is None:
-            others = self._others_cache = [
-                n for n in range(self.n_nodes) if n != self.node
-            ]
-        return others
 
     # ------------------------------------------------------------------
     # Phase: local arrivals

@@ -22,7 +22,51 @@ Two details from the paper:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from collections.abc import Sequence
+from itertools import chain
+from typing import Iterator, List, Optional, Union
+
+
+class OtherNodes(Sequence):
+    """Every node id in ``range(n_nodes)`` but ``node``, ascending.
+
+    The candidate intermediates of a source (§4.2), computed rather
+    than stored: position ``i`` holds node ``i + (i >= node)``.  An
+    eager list costs ``n_nodes - 1`` ints per sending node (4095 at
+    4096 nodes); this costs two.  Iteration, indexing and slicing
+    (slices are lists) match the eager list's, so ``rng.choice`` and
+    ``rng.sample`` over either draw the same nodes.
+    """
+
+    __slots__ = ("n_nodes", "node")
+
+    def __init__(self, n_nodes: int, node: int) -> None:
+        self.n_nodes = n_nodes
+        self.node = node
+
+    def __len__(self) -> int:
+        return self.n_nodes - 1
+
+    def __iter__(self) -> Iterator[int]:
+        return chain(range(self.node), range(self.node + 1, self.n_nodes))
+
+    def __getitem__(self, index: Union[int, slice]):
+        node = self.node
+        if not isinstance(index, slice):
+            position = range(self.n_nodes - 1)[index]
+            return position + (position >= node)
+        start, stop, step = index.indices(self.n_nodes - 1)
+        if step != 1:
+            return [i + (i >= node) for i in range(start, stop, step)]
+        # Contiguous windows (the DRRM rotation's) are one range, with
+        # ``node`` cut out when the window spans it.
+        if stop <= node:
+            return list(range(start, stop))
+        if start >= node:
+            return list(range(start + 1, stop + 1))
+        picked = list(range(start, stop + 1))
+        del picked[node - start]
+        return picked
 
 
 class ValiantRouter:
@@ -56,7 +100,7 @@ class ValiantRouter:
         self.node = node
         self.rng = rng or random.Random(node)
         self.exclude_destination = exclude_destination
-        self._others: List[int] = [n for n in range(n_nodes) if n != node]
+        self._others = OtherNodes(n_nodes, node)
 
     def pick_intermediate(self, dst: int) -> int:
         """Choose an intermediate for a cell destined to ``dst``."""

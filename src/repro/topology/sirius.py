@@ -24,8 +24,9 @@ uplinks it scales to the paper's 25,600-rack deployment.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.optics.awgr import AWGR
 from repro.units import GBPS, fibre_delay
@@ -56,8 +57,40 @@ class Uplink:
     reachable_block: int
 
 
+class GratingView(Sequence):
+    """The ``n_gratings`` gratings of a topology, indexable by grating id.
+
+    Every grating of a topology has the same port count and insertion
+    loss, and routing is a pure function of (input port, channel), so
+    all ids map to one shared :class:`AWGR` model instead of one object
+    each (65,536 at the paper's 25,600 racks).  The one per-instance
+    state of an ``AWGR``, the diagnostic ``routed_count``, is therefore
+    shared too; nothing in the topology or schedule routes through
+    :meth:`AWGR.route`, which only the testbed rig's own grating uses.
+    """
+
+    def __init__(self, awgr: AWGR, count: int) -> None:
+        self._awgr = awgr
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, grating: int) -> AWGR:
+        if not -self._count <= grating < self._count:
+            raise IndexError(f"grating {grating} out of range "
+                             f"[0, {self._count})")
+        return self._awgr
+
+
 class SiriusTopology:
     """A flat Sirius network: ``n_nodes`` nodes over passive gratings.
+
+    The wiring is closed-form, so nothing is stored per uplink: uplink
+    ``k`` of node ``n`` sits on input port ``n mod G`` of grating
+    ``_grating_id(n // G, k // m, k mod m)``, and :meth:`uplinks`,
+    :meth:`iter_uplinks` and :meth:`paths_to` compute their
+    :class:`Uplink` records on demand.
 
     Parameters
     ----------
@@ -116,43 +149,44 @@ class SiriusTopology:
 
         # One grating per (source block, destination block, replica).
         self.n_gratings = self.n_blocks * self.n_blocks * self.links_per_block
-        self.gratings: List[AWGR] = [
-            AWGR(grating_ports, insertion_loss_db=grating_insertion_loss_db)
-            for _ in range(self.n_gratings)
-        ]
-        self._uplinks: List[List[Uplink]] = self._build_uplinks()
+        self.gratings = GratingView(
+            AWGR(grating_ports, insertion_loss_db=grating_insertion_loss_db),
+            self.n_gratings,
+        )
 
-    # -- construction -------------------------------------------------------
+    # -- wiring ---------------------------------------------------------------
     def _grating_id(self, src_block: int, dst_block: int, replica: int) -> int:
+        """Grating joining ``src_block`` to ``dst_block`` (one per replica).
+
+        Plain arithmetic, so it also accepts broadcastable integer numpy
+        arrays (see :meth:`CyclicSchedule.verify_contention_free`).
+        """
         return (
             (src_block * self.n_blocks + dst_block) * self.links_per_block
             + replica
         )
 
-    def _build_uplinks(self) -> List[List[Uplink]]:
-        per_node: List[List[Uplink]] = []
-        for node in range(self.n_nodes):
-            src_block, input_port = divmod(node, self.grating_ports)
-            uplinks: List[Uplink] = []
-            index = 0
-            for dst_block in range(self.n_blocks):
-                for replica in range(self.links_per_block):
-                    uplinks.append(Uplink(
-                        node=node,
-                        index=index,
-                        grating=self._grating_id(src_block, dst_block, replica),
-                        input_port=input_port,
-                        reachable_block=dst_block,
-                    ))
-                    index += 1
-            per_node.append(uplinks)
-        return per_node
+    def _uplinks_at(self, node: int, indices: range) -> List[Uplink]:
+        """Uplinks ``indices`` of ``node``: index ``k`` addresses block
+        ``k // m`` through replica ``k mod m``."""
+        src_block, input_port = divmod(node, self.grating_ports)
+        m = self.links_per_block
+        return [
+            Uplink(
+                node=node,
+                index=index,
+                grating=self._grating_id(src_block, index // m, index % m),
+                input_port=input_port,
+                reachable_block=index // m,
+            )
+            for index in indices
+        ]
 
     # -- queries -----------------------------------------------------------
     def uplinks(self, node: int) -> List[Uplink]:
-        """All uplinks of ``node``."""
+        """All uplinks of ``node``, in index order."""
         self._check_node(node)
-        return self._uplinks[node]
+        return self._uplinks_at(node, range(self.uplinks_per_node))
 
     def block_of(self, node: int) -> int:
         """Block (grating output group) a node belongs to."""
@@ -201,18 +235,17 @@ class SiriusTopology:
         full node bandwidth between any pair (§4.1).
         """
         self._check_node(src_node)
-        self._check_node(dst_node)
-        dst_block = self.block_of(dst_node)
+        first = self.block_of(dst_node) * self.links_per_block
         return [
             (uplink, self.wavelength_for(uplink, dst_node))
-            for uplink in self._uplinks[src_node]
-            if uplink.reachable_block == dst_block
+            for uplink in self._uplinks_at(
+                src_node, range(first, first + self.links_per_block))
         ]
 
     def iter_uplinks(self) -> Iterator[Uplink]:
-        """Iterate over every uplink in the network."""
-        for uplinks in self._uplinks:
-            yield from uplinks
+        """Iterate over every uplink in the network, node by node."""
+        for node in range(self.n_nodes):
+            yield from self.uplinks(node)
 
     # -- aggregate properties -----------------------------------------------
     @property
@@ -252,7 +285,7 @@ class SiriusTopology:
         """
         for src in range(self.n_nodes):
             reachable = set()
-            for uplink in self._uplinks[src]:
+            for uplink in self.uplinks(src):
                 reachable.update(self.reachable_nodes(uplink))
             missing = set(range(self.n_nodes)) - reachable
             assert not missing, (

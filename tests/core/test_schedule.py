@@ -139,3 +139,49 @@ def test_schedule_invariants_property(blocks, ports, mult):
     schedule = CyclicSchedule(topo)
     schedule.verify_contention_free()
     schedule.verify_full_coverage()
+
+
+class _ReplicaBlind(SiriusTopology):
+    """Miswired: every replica of a block pair shares one grating."""
+
+    def _grating_id(self, src_block, dst_block, replica):
+        return super()._grating_id(src_block, dst_block, 0)
+
+
+class _SourceBlind(SiriusTopology):
+    """Miswired: every source block shares the gratings of block 0."""
+
+    def _grating_id(self, src_block, dst_block, replica):
+        return super()._grating_id(0, dst_block, replica)
+
+
+def _walk_finds_contention(topo):
+    """Reference: scan every uplink for a shared (grating, input port)."""
+    seen = set()
+    for uplink in topo.iter_uplinks():
+        key = (uplink.grating, uplink.input_port)
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocks=st.integers(1, 4), ports=st.integers(2, 6),
+       mult=st.integers(1, 3),
+       wiring=st.sampled_from([SiriusTopology, _ReplicaBlind, _SourceBlind]))
+def test_contention_check_matches_uplink_walk(blocks, ports, mult, wiring):
+    """The grating-id check fails exactly where the uplink walk finds
+    two uplinks on one (grating, input port)."""
+    topo = wiring(blocks * ports, ports, uplink_multiplier=mult)
+    broken = _walk_finds_contention(topo)
+    assert broken == (
+        (wiring is _ReplicaBlind and mult > 1)
+        or (wiring is _SourceBlind and blocks > 1)
+    )
+    schedule = CyclicSchedule(topo)
+    if broken:
+        with pytest.raises(AssertionError, match="grating .* is wired to"):
+            schedule.verify_contention_free()
+    else:
+        schedule.verify_contention_free()

@@ -1,9 +1,13 @@
 """Sirius flat topology (paper §4.1, Fig 5a)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import CyclicSchedule
 from repro.topology import SiriusTopology
+from repro.topology.sirius import Uplink
 from repro.units import GBPS
 
 
@@ -64,6 +68,26 @@ class TestScaleExamples:
         topo = SiriusTopology(256, 16)
         assert topo.uplinks_per_node == 16
         assert topo.n_gratings == 256
+
+    def test_paper_scale_25600_racks_full_size(self):
+        # The same deployment at full size: the wiring is closed form,
+        # so construction stores none of its 6.5 M uplinks and the
+        # contention check runs over 65,536 grating ids.
+        topo = SiriusTopology(25600, 100)
+        assert topo.uplinks_per_node == 256
+        assert topo.n_gratings == 65_536
+        assert len(topo.gratings) == 65_536
+        schedule = CyclicSchedule(topo)
+        schedule.verify_contention_free()
+        rng = random.Random(25600)
+        for _ in range(50):
+            src, dst = rng.randrange(25600), rng.randrange(25600)
+            paths = topo.paths_to(src, dst)
+            assert len(paths) == 1
+            for uplink, wavelength in paths:
+                assert uplink.node == src
+                assert schedule.destination(uplink, wavelength) == dst
+                assert topo.uplinks(src)[uplink.index] == uplink
 
     def test_4096_racks_through_16_port_gratings(self):
         topo = SiriusTopology(4096, 16)
@@ -135,3 +159,59 @@ def test_reachability_property(blocks, ports, mult):
     for src in (0, n - 1):
         for dst in (0, n // 2, n - 1):
             assert len(topo.paths_to(src, dst)) == mult
+
+
+def _stored_uplinks(topo):
+    """The per-node uplink lists the topology once built and kept."""
+    per_node = []
+    for node in range(topo.n_nodes):
+        src_block, input_port = divmod(node, topo.grating_ports)
+        uplinks = []
+        index = 0
+        for dst_block in range(topo.n_blocks):
+            for replica in range(topo.links_per_block):
+                uplinks.append(Uplink(
+                    node=node,
+                    index=index,
+                    grating=topo._grating_id(src_block, dst_block, replica),
+                    input_port=input_port,
+                    reachable_block=dst_block,
+                ))
+                index += 1
+        per_node.append(uplinks)
+    return per_node
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    blocks=st.integers(min_value=1, max_value=6),
+    ports=st.integers(min_value=2, max_value=8),
+    mult=st.integers(min_value=1, max_value=3),
+)
+def test_closed_form_matches_stored_uplinks(blocks, ports, mult):
+    """Uplinks computed on demand equal the eagerly built ones, field
+    for field and in order."""
+    topo = SiriusTopology(blocks * ports, ports, uplink_multiplier=mult)
+    stored = _stored_uplinks(topo)
+    for node in range(topo.n_nodes):
+        assert topo.uplinks(node) == stored[node]
+    assert list(topo.iter_uplinks()) == [u for node in stored for u in node]
+    for src in range(topo.n_nodes):
+        for dst in range(topo.n_nodes):
+            expected = [
+                (uplink, topo.wavelength_for(uplink, dst))
+                for uplink in stored[src]
+                if uplink.reachable_block == topo.block_of(dst)
+            ]
+            assert topo.paths_to(src, dst) == expected
+
+
+def test_gratings_view_indexes_like_a_list():
+    topo = SiriusTopology(16, 4, uplink_multiplier=2)
+    gratings = topo.gratings
+    assert len(gratings) == topo.n_gratings == 32
+    assert gratings[0] is gratings[31] is gratings[-32]
+    assert gratings[0].n_ports == 4
+    assert len(list(gratings)) == 32
+    with pytest.raises(IndexError):
+        gratings[32]
