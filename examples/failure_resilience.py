@@ -5,8 +5,8 @@ Fails a rack mid-run and shows what the paper promises: microsecond
 detection via the cyclic schedule, no blackholing (stranded transit
 cells are retransmitted), unaffected flows complete, degradation is
 proportional, and a consistent schedule update regains the lost
-bandwidth.  A telemetry sparkline shows the backlog footprint of the
-failure.
+bandwidth.  A sparkline of the backlog series an ``Observation``
+records shows the footprint of the failure.
 
 Run:  python examples/failure_resilience.py
 """
@@ -15,11 +15,13 @@ from repro import (
     FailureDetector,
     FailurePlan,
     FlowWorkload,
+    MetricsRegistry,
+    Observation,
     SiriusNetwork,
     WorkloadConfig,
 )
 from repro.core.failures import AdjustedSchedule, surviving_bandwidth_fraction
-from repro.core.telemetry import Telemetry, ascii_sparkline
+from repro.obs import ascii_sparkline
 from repro.units import KILOBYTE, MEGABYTE
 
 N_NODES = 32
@@ -39,12 +41,12 @@ def main() -> None:
     ))
     flows = workload.generate(1_000)
     plan = FailurePlan.single_failure(FAILED_NODE, at_epoch=FAIL_EPOCH)
-    telemetry = Telemetry(sample_every=2)
+    obs = Observation(registry=MetricsRegistry(), sample_every=2)
 
     print(f"failing node {FAILED_NODE} at epoch {FAIL_EPOCH} "
           f"({FAIL_EPOCH * net.schedule.epoch_duration_s / 1e-6:.0f} us "
           "into the run)\n")
-    result = net.run(flows, failure_plan=plan, telemetry=telemetry)
+    result = net.run(flows, failure_plan=plan, obs=obs)
 
     detector = FailureDetector(N_NODES, node=0, threshold=3)
     unaffected = [f for f in flows
@@ -72,7 +74,9 @@ def main() -> None:
           f"({len(adjusted.survivors)} survivors, round-robin verified)")
 
     print("\nsystem backlog over time (failure visible as the hump):")
-    print("  " + ascii_sparkline(telemetry.backlog_series(), width=70))
+    backlog = obs.registry.gauge("net_backlog_cells", track=True)
+    print("  " + ascii_sparkline([value for _at, value in backlog.series()],
+                                 width=70))
 
 
 if __name__ == "__main__":

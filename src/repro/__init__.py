@@ -40,7 +40,6 @@ from repro.core import (
     FailurePlan,
     ParallelSiriusPlanes,
     RackDeployment,
-    Telemetry,
     CongestionConfig,
     CyclicSchedule,
     Flow,
@@ -90,7 +89,6 @@ __all__ = [
     "FailurePlan",
     "ParallelSiriusPlanes",
     "RackDeployment",
-    "Telemetry",
     "CombLaserSource",
     "CongestionConfig",
     "CyclicSchedule",

@@ -74,8 +74,7 @@ __all__ = [
 
 #: Receiver roots that are observability plumbing, never state (shared
 #: vocabulary with the S8xx audit).
-_OBS_ROOTS = frozenset({"tracer", "profiler", "registry", "telemetry",
-                        "obs", "prof"})
+_OBS_ROOTS = frozenset({"tracer", "profiler", "registry", "obs", "prof"})
 
 #: Lap-label keys that group sibling backend loops (cf. ``S803``).
 _GROUP_KEYS: Tuple[Tuple[str, frozenset], ...] = (

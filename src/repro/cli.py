@@ -51,9 +51,10 @@ from repro import (
 )
 from repro.analysis import NetworkCostModel, NetworkPowerModel, SiriusPowerModel
 from repro.core.backend import BACKENDS
-from repro.core.telemetry import Telemetry, ascii_sparkline
 from repro.obs import (
+    MetricsRegistry,
     Observation,
+    ascii_sparkline,
     format_table,
     load_any,
     render_report,
@@ -213,12 +214,15 @@ def _cmd_simulate(args) -> int:
         truncation_bits=max(2 * MEGABYTE, 4 * args.mean_flow_kb * KILOBYTE),
         seed=args.seed + 1,
     ))
-    telemetry = Telemetry(sample_every=4) if args.telemetry else None
     observing = bool(args.trace_out or args.chrome_out or args.profile)
-    obs = (Observation.recording(sample_every=args.sample_every)
-           if observing else None)
-    result = net.run(workload.generate(args.flows), telemetry=telemetry,
-                     obs=obs)
+    if observing:
+        obs = Observation.recording(sample_every=args.sample_every)
+    elif args.telemetry:
+        obs = Observation(registry=MetricsRegistry(),
+                          sample_every=args.sample_every)
+    else:
+        obs = None
+    result = net.run(workload.generate(args.flows), obs=obs)
     print(f"system            : "
           f"{'SIRIUS (IDEAL)' if args.ideal else 'Sirius'} "
           f"{args.nodes} nodes, {args.multiplier}x uplinks, "
@@ -234,9 +238,11 @@ def _cmd_simulate(args) -> int:
               f"p99 {p99 / US:.1f} us")
     print(f"peak queues       : fwd {result.peak_fwd_bytes / 1000:.1f} KB, "
           f"reorder {result.peak_reorder_bytes / 1000:.1f} KB")
-    if telemetry is not None and telemetry.n_samples:
-        print(f"backlog           : "
-              f"{ascii_sparkline(telemetry.backlog_series())}")
+    if args.telemetry:
+        gauge = obs.registry.gauge("net_backlog_cells", track=True)
+        backlog = [value for _at, value in gauge.series()]
+        if backlog:
+            print(f"backlog           : {ascii_sparkline(backlog)}")
     if observing:
         meta = {
             "system": "SIRIUS (IDEAL)" if args.ideal else "Sirius",

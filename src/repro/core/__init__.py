@@ -36,7 +36,6 @@ from repro.core.node import SiriusNode
 from repro.core.network import SiriusNetwork, SimulationResult
 from repro.core.parallel import ParallelSiriusPlanes
 from repro.core.rack import CreditLink, RackConfig, RackDeployment, RackSwitch
-from repro.core.telemetry import Telemetry
 
 __all__ = [
     "AdjustedSchedule",
@@ -60,6 +59,5 @@ __all__ = [
     "RackConfig",
     "RackDeployment",
     "RackSwitch",
-    "Telemetry",
     "SimulationResult",
 ]

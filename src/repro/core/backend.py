@@ -6,8 +6,7 @@ execution strategies for the same protocol state machine:
 * ``reference`` — the straightforward all-nodes loop, the oracle the
   other engine is validated against;
 * ``vectorized`` (default) — :mod:`repro.core.vectorized`: activity
-  masks and depth slabs in numpy, closed-form grant admission and
-  idle-epoch skipping.
+  masks and depth slabs in numpy and idle-epoch skipping.
 
 Both drive one :class:`repro.core.ledger.RunLedger` and are
 bit-identical on seeded runs — the parity suite
@@ -49,7 +48,6 @@ class EpochEngine(Protocol):
             check_invariants: bool = False,
             failure_plan=None,
             detection_epochs: int = 3,
-            telemetry=None,
             obs=None):
         """Simulate ``flows`` to completion (or an epoch cap)."""
         ...

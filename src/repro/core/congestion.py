@@ -42,6 +42,11 @@ DEFAULT_QUEUE_THRESHOLD = 4
 #: rides epoch e's cells, is decided during epoch e+1, and the grant rides
 #: epoch e+1's cells back — known to the source at the start of epoch e+2.
 REQUEST_ROUND_TRIP_EPOCHS = 2
+#: In-flight direct (single-hop) grants a destination allows per
+#: source.  The source's slot to the destination drains one cell per
+#: epoch and forwarded traffic has priority on it, so more direct
+#: grants would only pile up in the source's virtual queue.
+DIRECT_GRANT_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -135,28 +140,6 @@ def may_grant(queued: int, outstanding: int, threshold: int) -> bool:
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     return queued + outstanding < threshold
-
-
-def grant_admission_count(n_sources: int, queued: int, outstanding: int,
-                          threshold: int, cap: int) -> int:
-    """Closed form of the grant phase's break-on-deny loop (§4.3).
-
-    The per-destination loop grants requests one by one, incrementing
-    the outstanding count after each, until the :func:`may_grant` test
-    fails or ``cap`` grants have been issued — so the number granted is
-    exactly ``min(requests, cap, Q - queued - outstanding)`` (floored
-    at zero).  The vectorized backend uses this to admit a whole
-    request batch in one step; :meth:`SiriusNode.decide_grants` keeps
-    the sequential loop (its per-request observability callbacks need
-    the individual decisions) and the parity suite pins the two equal.
-    """
-    if n_sources < 0 or cap < 0:
-        raise ValueError("request and cap counts cannot be negative")
-    if queued < 0 or outstanding < 0:
-        raise ValueError("queue and grant counts cannot be negative")
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    return min(n_sources, cap, max(0, threshold - queued - outstanding))
 
 
 def record_grant_decision(registry, tracer, intermediate: int,

@@ -16,8 +16,8 @@ how they iterate its phases.  Everything *around* those phases is one
 * **§4.5 failure handling** — scripted events fire, announcements
   propagate after the detection delay, flows are terminated and transit
   cells stranded at a dead node are retransmitted by their sources;
-* **observation** — run counters, queue-occupancy sampling, telemetry
-  and the per-epoch invariant checks;
+* **observation** — run counters, queue-occupancy sampling and the
+  per-epoch invariant checks;
 * **the result** — final delivery and :class:`SimulationResult`.
 
 An engine learns which nodes got new work from the ledger through one
@@ -49,7 +49,6 @@ import numpy as np
 from repro.core.cell import Cell, Flow, cell_range
 from repro.core.congestion import CongestionConfig
 from repro.core.failures import FailureEvent, FailurePlan
-from repro.core.telemetry import Telemetry
 from repro.obs.observation import NULL_OBS, Observation
 from repro.units import KILOBYTE
 
@@ -200,8 +199,8 @@ class RunLedger:
         Assert every node's accounting at the end of each epoch.
     failure_plan, detection_epochs:
         Scripted failures/recoveries and the announcement delay (§4.5).
-    telemetry, obs:
-        Per-epoch series sampler and observation bundle.
+    obs:
+        Observation bundle: counters, events and per-epoch series.
     on_work:
         ``on_work(node, local)`` — called when ``node`` gets new queued
         cells; see the module docstring.
@@ -213,7 +212,6 @@ class RunLedger:
                  check_invariants: bool = False,
                  failure_plan: Optional[FailurePlan] = None,
                  detection_epochs: int = 3,
-                 telemetry: Optional[Telemetry] = None,
                  obs: Optional[Observation] = None,
                  on_work: Optional[Callable[[int, bool], None]] = None,
                  ) -> None:
@@ -248,7 +246,6 @@ class RunLedger:
             )
         self.net = net
         self.on_work = on_work
-        self.telemetry = telemetry
         self.check_invariants = check_invariants
         self.ideal = net.config.ideal
         self.track_reorder = net.track_reorder
@@ -555,9 +552,6 @@ class RunLedger:
         if self.check_invariants:
             for node in nodes:
                 node.check_invariants()
-        if self.telemetry is not None:
-            self.telemetry.sample(epoch, nodes, in_flight,
-                                  self.delivered_bits)
         if self.metering and epoch % self.obs.sample_every == 0:
             local, vq, fwd = depths if depths is not None else (
                 _queue_depths(nodes))

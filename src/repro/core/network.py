@@ -30,11 +30,12 @@ The epoch loop is pluggable (see :mod:`repro.core.backend`): the
 ``reference`` backend is the straightforward all-nodes loop below, the
 oracle every other engine is validated against; the default
 ``vectorized`` backend (:mod:`repro.core.vectorized`) keeps activity
-masks and depth slabs in numpy, visits only nodes with live state,
-collapses grant admission to a closed form and skips fully-idle epochs
-outright.  Both drive one :class:`repro.core.ledger.RunLedger` — flow
-table, delivery, failure handling, counters and result — and keep only
-their phase iteration, request/grant and transmit code.  They produce
+masks and depth slabs in numpy, visits only nodes with live state and
+skips fully-idle epochs outright.  Both drive one
+:class:`repro.core.ledger.RunLedger` — flow table, delivery, failure
+handling, counters and result — and call the same
+:class:`repro.core.node.SiriusNode` request and grant methods; they
+keep only their phase iteration and transmit code.  They produce
 bit-identical seeded results because a skipped node performs no work
 and consumes no randomness (every per-node phase operation
 early-returns before its first RNG draw when the node is idle).
@@ -52,7 +53,6 @@ from repro.core.congestion import CongestionConfig
 from repro.core.failures import FailurePlan
 from repro.core.ledger import RunLedger, SimulationResult
 from repro.core.node import SiriusNode
-from repro.core.telemetry import Telemetry
 from repro.core.schedule import CyclicSchedule, SlotTiming
 from repro.obs.observation import NULL_OBS, Observation
 from repro.topology.sirius import SiriusTopology
@@ -151,7 +151,6 @@ class SiriusNetwork(EpochEngine):
             check_invariants: bool = False,
             failure_plan: Optional[FailurePlan] = None,
             detection_epochs: int = 3,
-            telemetry: Optional[Telemetry] = None,
             obs: Optional[Observation] = None) -> SimulationResult:
         """Simulate until every flow completes (or an epoch cap is hit).
 
@@ -186,8 +185,7 @@ class SiriusNetwork(EpochEngine):
                 flows, max_epochs=max_epochs, drain_epochs=drain_epochs,
                 check_invariants=check_invariants,
                 failure_plan=failure_plan,
-                detection_epochs=detection_epochs,
-                telemetry=telemetry, obs=obs,
+                detection_epochs=detection_epochs, obs=obs,
             )
         if obs is None:
             obs = NULL_OBS
@@ -199,7 +197,7 @@ class SiriusNetwork(EpochEngine):
         ledger = RunLedger(
             self, flows, max_epochs=max_epochs, drain_epochs=drain_epochs,
             check_invariants=check_invariants, failure_plan=failure_plan,
-            detection_epochs=detection_epochs, telemetry=telemetry, obs=obs,
+            detection_epochs=detection_epochs, obs=obs,
             on_work=None,  # every phase visits every node
         )
         epoch_dur = ledger.epoch_s

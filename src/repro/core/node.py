@@ -32,6 +32,7 @@ from typing import Deque, Dict, List, Tuple
 
 from repro.core.cell import Cell
 from repro.core.congestion import (
+    DIRECT_GRANT_WINDOW,
     REQUEST_ROUND_TRIP_EPOCHS,
     CongestionConfig,
     may_grant,
@@ -366,59 +367,84 @@ class SiriusNode:
         with backlog are served round-robin.  Returns the request list;
         the network routes each to its intermediate's inbox.
         """
-        if self.config.ideal:
+        config = self.config
+        if config.ideal:
             return []
+        requested = self.requested
+        excluded = self.excluded
         backlog = [
-            (dst, len(queue) - self.requested.get(dst, 0))
+            (dst, len(queue) - requested.get(dst, 0))
             for dst, queue in self.local_by_dst.items()
-            if len(queue) > self.requested.get(dst, 0)
-            and dst not in self.excluded
+            if len(queue) > requested.get(dst, 0) and dst not in excluded
         ]
+        history = self._sent_request_history
         if not backlog:
-            self._sent_request_history.append(Counter())
+            history.append(Counter())
             return []
-        pending = dict(backlog)
-        total = min(sum(pending.values()), len(self._others))
-
-        # Destination sequence: round-robin across backlogged
-        # destinations so no destination starves.
-        if self.config.selection == "drrm":
-            order = sorted(pending)
+        others = self._others
+        drrm = config.selection == "drrm"
+        forbid_direct = config.exclude_destination_intermediate
+        # One backlogged destination under DRRM: every request of the
+        # epoch targets it, so no round-robin sequence is needed.
+        single = len(backlog) == 1 and drrm and not forbid_direct
+        if single:
+            total = min(backlog[0][1], len(others))
         else:
-            order = list(pending)
-            self.rng.shuffle(order)
-        dst_sequence: List[int] = []
-        idx = 0
-        while len(dst_sequence) < total:
-            dst = order[idx % len(order)]
-            if pending[dst] > 0:
-                dst_sequence.append(dst)
-                pending[dst] -= 1
-                idx += 1
+            pending = dict(backlog)
+            total = min(sum(pending.values()), len(others))
+            # Destination sequence: round-robin across backlogged
+            # destinations so no destination starves.
+            if drrm:
+                order = sorted(pending)
             else:
-                order.remove(dst)
+                order = list(pending)
+                self.rng.shuffle(order)
+            dst_sequence: List[int] = []
+            idx = 0
+            while len(dst_sequence) < total:
+                dst = order[idx % len(order)]
+                if pending[dst] > 0:
+                    dst_sequence.append(dst)
+                    pending[dst] -= 1
+                    idx += 1
+                else:
+                    order.remove(dst)
 
         # Intermediate pairing: DRRM rotates a deterministic offset so
         # different sources map the same intermediate to different
-        # destinations (desynchronization); random mode samples.
+        # destinations (desynchronization) — the window of ``total``
+        # candidates starting at ``offset mod m``, wrapping once, taken
+        # as at most two slices; random mode samples.
         candidates = (
-            [o for o in self._others if o not in self.excluded]
-            if self.excluded else self._others
+            [o for o in others if o not in excluded] if excluded else others
         )
         total = min(total, len(candidates))
-        if self.config.selection == "drrm":
-            m = len(candidates)
+        if drrm:
             offset = self._request_offset
             self._request_offset += 1
-            intermediates = [
-                candidates[(i + offset) % m] for i in range(total)
-            ]
+            if total:
+                start = offset % len(candidates)
+                stop = start + total
+                if stop <= len(candidates):
+                    intermediates = candidates[start:stop]
+                else:
+                    intermediates = (candidates[start:]
+                                     + candidates[:stop - len(candidates)])
+            else:
+                intermediates = []
         else:
             intermediates = self.rng.sample(candidates, total)
 
+        if single:
+            if not total:
+                history.append(Counter())
+                return []
+            dst = backlog[0][0]
+            requested[dst] = requested.get(dst, 0) + total
+            history.append(Counter({dst: total}))
+            return [(intermediate, dst) for intermediate in intermediates]
         requests: List[Tuple[int, int]] = []
         batch: Counter = Counter()
-        forbid_direct = self.config.exclude_destination_intermediate
         for intermediate, dst in zip(intermediates, dst_sequence):
             if forbid_direct and intermediate == dst:
                 # Ablation: single-hop routing forbidden — skip this
@@ -426,30 +452,27 @@ class SiriusNode:
                 continue
             requests.append((intermediate, dst))
             batch[dst] += 1
-            self.requested[dst] = self.requested.get(dst, 0) + 1
-        self._sent_request_history.append(batch)
+            requested[dst] = requested.get(dst, 0) + 1
+        history.append(batch)
         return requests
 
     # ------------------------------------------------------------------
     # Phase: decide grants for requests received last epoch
     # ------------------------------------------------------------------
-    def decide_grants(self, grants_per_destination: int,
-                      direct_window: int = 3) -> List[Tuple[int, int]]:
+    def decide_grants(self,
+                      grants_per_destination: int) -> List[Tuple[int, int]]:
         """Pick per-destination winners among inbox requests (§4.3).
 
         Returns ``(source, dst)`` grants.  Requests whose destination is
         this node bypass the forward-queue test (delivery consumes no
-        queue space) but are bounded at ``direct_window`` in-flight
-        grants per source — the source's slot to this node drains one
-        cell per epoch and is shared with forwarded traffic, so
-        unbounded direct grants would only pile up in its virtual
-        queue.  Other requests pass the ``queued + outstanding < Q``
-        test, up to ``grants_per_destination`` per epoch.
+        queue space) but are bounded at
+        :data:`~repro.core.congestion.DIRECT_GRANT_WINDOW` in-flight
+        grants per source.  Other requests pass the
+        ``queued + outstanding < Q`` test, up to
+        ``grants_per_destination`` per epoch.
         """
         if not self.request_inbox:
             return []
-        if direct_window < 1:
-            raise ValueError(f"direct window must be >= 1, got {direct_window}")
         by_dst: Dict[int, List[int]] = {}
         for src, dst in self.request_inbox:
             if src in self.excluded or dst in self.excluded:
@@ -463,7 +486,7 @@ class SiriusNode:
             if dst == self.node:
                 for src in sources:
                     in_flight = self._direct_outstanding.get(src, 0)
-                    if in_flight < direct_window:
+                    if in_flight < DIRECT_GRANT_WINDOW:
                         self._direct_outstanding[src] = in_flight + 1
                         grants.append((src, dst))
                         if observing:

@@ -5,9 +5,13 @@ the ``reference`` loop of :meth:`repro.core.network.SiriusNetwork.run`
 — identical phase order, identical per-node operations, the same single
 seeded RNG stream — and drives the same
 :class:`repro.core.ledger.RunLedger` for flows, delivery, failures and
-the result.  It keeps the *scheduling* of the per-node work in numpy
-slabs instead of visiting every node, and exploits three properties
-the all-nodes loop cannot:
+the result.  Requests and multi-request grant decisions are the
+node's own :meth:`~repro.core.node.SiriusNode.generate_requests` and
+:meth:`~repro.core.node.SiriusNode.decide_grants`; only the inner loop
+is inlined — the one-request grant and the protocol-mode dequeue.  It
+keeps the *scheduling* of the per-node work in numpy slabs instead of
+visiting every node, and exploits two properties the all-nodes loop
+cannot:
 
 * **Activity masks and depth slabs.**  Which node has control-plane
   work, a pending grant decision or queued cells is one boolean vector
@@ -18,13 +22,6 @@ the all-nodes loop cannot:
   metrics are recorded, per-node queue depths are mirrored into integer
   slabs that :meth:`repro.obs.Observation.sample_network` reads
   directly.
-* **Batched grant admission.**  The grant phase's break-on-deny loop
-  collapses to the closed form
-  :func:`repro.core.congestion.grant_admission_count`; per-destination
-  DRRM pointer ordering of large request batches is a numpy argsort.
-  (When a tracer or registry is live the engine defers to
-  :meth:`SiriusNode.decide_grants` so per-decision observability is
-  preserved.)
 * **Idle-epoch skipping.**  When every mask is empty and the ledger is
   quiet (nothing in flight, no announcement pending, no server-side
   backlog), *no* state can change until the next flow arrival or
@@ -34,8 +31,8 @@ the all-nodes loop cannot:
   counter straight to the next event, which is what makes sparse
   workloads (the bench micro scenario, long drain tails, failure-wait
   windows) orders of magnitude cheaper.  Skipping is disabled while a
-  telemetry sampler or live observation bundle is attached, since
-  those record per-epoch series.
+  live observation bundle is attached, since it records per-epoch
+  series.
 
 Cells themselves stay in the per-node queue structures of
 :class:`repro.core.node.SiriusNode`: the simulation's observable output
@@ -50,24 +47,18 @@ the parity suite in ``tests/core/test_fast_path_equivalence.py``.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.backend import EpochEngine
 from repro.core.cell import Flow
-from repro.core.congestion import grant_admission_count
+from repro.core.congestion import DIRECT_GRANT_WINDOW
 from repro.core.failures import FailurePlan
 from repro.core.ledger import RunLedger, SimulationResult
-from repro.core.telemetry import Telemetry
 from repro.obs.observation import NULL_OBS, Observation
 
 __all__ = ["VectorizedEngine"]
-
-#: Request batches at or above this size take the numpy argsort path in
-#: the grant phase; smaller ones stay on the (cheaper) list sort.
-GRANT_SORT_THRESHOLD = 64
 
 
 class VectorizedEngine(EpochEngine):
@@ -81,156 +72,6 @@ class VectorizedEngine(EpochEngine):
     def __init__(self, network) -> None:
         self.net = network
 
-    # -- grant phase ---------------------------------------------------------
-    def _decide_grants(self, node, grants_per_destination: int,
-                       direct_window: int = 3) -> List[Tuple[int, int]]:
-        """Batched equivalent of :meth:`SiriusNode.decide_grants`.
-
-        Per destination the sequential admit-until-deny loop grants the
-        first ``grant_admission_count(...)`` sources of the DRRM
-        pointer order (or of the shuffled order in ``random`` mode) —
-        so the batch form admits the same sources, updates the same
-        bookkeeping, and consumes the same RNG draws.
-        """
-        inbox = node.request_inbox
-        if not inbox:
-            return []
-        excluded = node.excluded
-        config = node.config
-        by_dst = {}
-        for src, dst in inbox:
-            if src in excluded or dst in excluded:
-                continue
-            by_dst.setdefault(dst, []).append(src)
-        inbox.clear()
-        grants: List[Tuple[int, int]] = []
-        threshold = config.queue_threshold
-        drrm = config.selection == "drrm"
-        n_nodes = node.n_nodes
-        for dst, sources in by_dst.items():
-            if dst == node.node:
-                window = node._direct_outstanding
-                for src in sources:
-                    in_flight = window.get(src, 0)
-                    if in_flight < direct_window:
-                        window[src] = in_flight + 1
-                        grants.append((src, dst))
-                continue
-            if drrm:
-                pointer = node._grant_pointers.get(dst, 0)
-                if len(sources) >= GRANT_SORT_THRESHOLD:
-                    arr = np.asarray(sources)
-                    order = np.argsort((arr - pointer) % n_nodes)
-                    sources = arr[order].tolist()
-                else:
-                    sources.sort(key=lambda s: (s - pointer) % n_nodes)
-            else:
-                node.rng.shuffle(sources)
-            granted = grant_admission_count(
-                len(sources), len(node.fwd.get(dst, ())),
-                node.outstanding.get(dst, 0), threshold,
-                grants_per_destination,
-            )
-            if not granted:
-                continue
-            winners = sources[:granted]
-            node.outstanding[dst] = node.outstanding.get(dst, 0) + granted
-            by_src = node._outstanding_by_src
-            for src in winners:
-                pair = (src, dst)
-                by_src[pair] = by_src.get(pair, 0) + 1
-                grants.append((src, dst))
-            if drrm:
-                node._grant_pointers[dst] = (winners[-1] + 1) % n_nodes
-        return grants
-
-    # -- request phase -------------------------------------------------------
-    def _generate_requests(self, node) -> List[Tuple[int, int]]:
-        """Slice-based equivalent of :meth:`SiriusNode.generate_requests`.
-
-        Identical request list, bookkeeping and RNG consumption; the
-        DRRM intermediate rotation is two list slices instead of a
-        per-request modulo, and the common single-backlogged-destination
-        case skips the round-robin sequencing loop entirely (every
-        request of the epoch targets that destination).
-        """
-        config = node.config
-        if config.ideal:
-            return []
-        requested = node.requested
-        excluded = node.excluded
-        backlog = [
-            (dst, len(queue) - requested.get(dst, 0))
-            for dst, queue in node.local_by_dst.items()
-            if len(queue) > requested.get(dst, 0) and dst not in excluded
-        ]
-        history = node._sent_request_history
-        if not backlog:
-            history.append(Counter())
-            return []
-        others = node._others
-        drrm = config.selection == "drrm"
-        forbid_direct = config.exclude_destination_intermediate
-        single = len(backlog) == 1 and drrm and not forbid_direct
-        if single:
-            total = min(backlog[0][1], len(others))
-        else:
-            pending = dict(backlog)
-            total = min(sum(pending.values()), len(others))
-            if drrm:
-                order = sorted(pending)
-            else:
-                order = list(pending)
-                node.rng.shuffle(order)
-            dst_sequence: List[int] = []
-            idx = 0
-            while len(dst_sequence) < total:
-                dst = order[idx % len(order)]
-                if pending[dst] > 0:
-                    dst_sequence.append(dst)
-                    pending[dst] -= 1
-                    idx += 1
-                else:
-                    order.remove(dst)
-        candidates = (
-            [o for o in others if o not in excluded]
-            if excluded else others
-        )
-        total = min(total, len(candidates))
-        if drrm:
-            offset = node._request_offset
-            node._request_offset += 1
-            if total:
-                start = offset % len(candidates)
-                stop = start + total
-                if stop <= len(candidates):
-                    intermediates = candidates[start:stop]
-                else:
-                    intermediates = (candidates[start:]
-                                     + candidates[:stop - len(candidates)])
-            else:
-                intermediates = []
-        else:
-            intermediates = node.rng.sample(candidates, total)
-        if single:
-            dst = backlog[0][0]
-            if not total:
-                history.append(Counter())
-                return []
-            requested[dst] = requested.get(dst, 0) + total
-            history.append(Counter({dst: total}))
-            return [(intermediate, dst) for intermediate in intermediates]
-        requests: List[Tuple[int, int]] = []
-        batch: Counter = Counter()
-        for intermediate, dst in zip(intermediates, dst_sequence):
-            if forbid_direct and intermediate == dst:
-                continue
-            requests.append((intermediate, dst))
-            batch[dst] += 1
-            requested[dst] = requested.get(dst, 0) + 1
-        history.append(batch)
-        return requests
-
     # -- main loop -----------------------------------------------------------
     def run(self, flows: Sequence[Flow], *,
             max_epochs: Optional[int] = None,
@@ -238,7 +79,6 @@ class VectorizedEngine(EpochEngine):
             check_invariants: bool = False,
             failure_plan: Optional[FailurePlan] = None,
             detection_epochs: int = 3,
-            telemetry: Optional[Telemetry] = None,
             obs: Optional[Observation] = None) -> SimulationResult:
         """Simulate; same contract as :meth:`SiriusNetwork.run`."""
         net = self.net
@@ -325,8 +165,7 @@ class VectorizedEngine(EpochEngine):
         ledger = RunLedger(
             net, flows, max_epochs=max_epochs, drain_epochs=drain_epochs,
             check_invariants=check_invariants, failure_plan=failure_plan,
-            detection_epochs=detection_epochs, telemetry=telemetry, obs=obs,
-            on_work=on_work,
+            detection_epochs=detection_epochs, obs=obs, on_work=on_work,
         )
         epoch_dur = ledger.epoch_s
         max_epochs = ledger.max_epochs
@@ -334,7 +173,7 @@ class VectorizedEngine(EpochEngine):
         failed = ledger.failed
         # Idle-epoch skipping records per-epoch nothing, so it is only
         # legal when nothing records per-epoch series either.
-        can_skip = telemetry is None and not obs.enabled
+        can_skip = not obs.enabled
         epoch = 0
         if profiling:
             t_mark = profiler.lap("setup", t_mark)
@@ -389,16 +228,16 @@ class VectorizedEngine(EpochEngine):
                 for idx in alive_rows(grant_m):
                     grant_m[idx] = False
                     node = nodes[idx]
-                    if observing:
+                    if observing or len(node.request_inbox) != 1:
                         grants = node.decide_grants(grant_cap)
-                    elif len(node.request_inbox) == 1:
+                    else:
                         # Dominant case on sparse workloads: one request
                         # pending.  A one-element source list needs no
                         # ordering (and a one-element shuffle draws
                         # nothing), so this inline skips the method
-                        # call, grouping dict and sort of the batch
-                        # path while leaving protocol state and RNG
-                        # exactly as it would.
+                        # call, grouping dict and sort of
+                        # SiriusNode.decide_grants while leaving
+                        # protocol state and RNG exactly as it would.
                         src, dst = node.request_inbox[0]
                         node.request_inbox.clear()
                         grants = ()
@@ -407,7 +246,7 @@ class VectorizedEngine(EpochEngine):
                         elif dst == idx:
                             window = node._direct_outstanding
                             direct = window.get(src, 0)
-                            if direct < 3:
+                            if direct < DIRECT_GRANT_WINDOW:
                                 window[src] = direct + 1
                                 grants = ((src, dst),)
                         else:
@@ -426,8 +265,6 @@ class VectorizedEngine(EpochEngine):
                                         (src + 1) % n_nodes
                                     )
                                 grants = (pair,)
-                    else:
-                        grants = self._decide_grants(node, grant_cap)
                     for src, dst in grants:
                         if src in failed:
                             continue
@@ -438,7 +275,7 @@ class VectorizedEngine(EpochEngine):
                         control_m[src] = True
                 for idx in alive_rows(control_m):
                     node = nodes[idx]
-                    for intermediate, dst in self._generate_requests(node):
+                    for intermediate, dst in node.generate_requests():
                         nodes[intermediate].request_inbox.append((idx, dst))
                         grant_m[intermediate] = True
                     if node.control_idle():

@@ -17,9 +17,9 @@ Two registries exist:
   every update, so un-gated call sites stay correct, just slower.
 
 Gauges may be created with ``track=True``: every ``set(value, at=...)``
-is then also appended to a per-labelset series, which is how the
-:class:`repro.core.telemetry.Telemetry` compatibility view stores its
-per-epoch samples.
+is then also appended to a per-labelset series, which is how
+:meth:`repro.obs.Observation.sample_network` stores the per-epoch
+``net_*`` occupancy series.
 
 For live streaming (:mod:`repro.serve`) the registry also supports
 *delta* snapshots: every instrument counts its mutations, and
@@ -136,7 +136,7 @@ class Gauge(_Instrument):
 
     With ``track=True`` every ``set`` also appends to a per-labelset
     series of ``(at, value)`` points, turning the gauge into a sampled
-    time series (the substrate of :class:`repro.core.telemetry.Telemetry`).
+    time series (the substrate of the per-epoch ``net_*`` series).
     """
 
     kind = "gauge"

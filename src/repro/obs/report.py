@@ -6,8 +6,7 @@ headline metrics, the wall-clock phase breakdown and an ASCII backlog
 sparkline.  Everything renders from the trace file alone, so a report
 can be produced long after (and far from) the run that wrote it.
 
-:func:`ascii_sparkline` lives here (it is an observability renderer);
-:mod:`repro.core.telemetry` re-exports it for compatibility.
+:func:`ascii_sparkline` lives here (it is an observability renderer).
 """
 
 from __future__ import annotations

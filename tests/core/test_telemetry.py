@@ -1,9 +1,15 @@
-"""Per-epoch telemetry collection."""
+"""Per-epoch network telemetry: the tracked ``net_*`` gauges that an
+:class:`~repro.obs.observation.Observation` samples at its cadence,
+and the sparkline that renders them."""
 
 import pytest
 
-from repro import FlowWorkload, SiriusNetwork, WorkloadConfig
-from repro.core.telemetry import Telemetry, ascii_sparkline
+from repro import FlowWorkload, Observation, SiriusNetwork, WorkloadConfig
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import ascii_sparkline
+
+SERIES = ("net_local_cells", "net_vq_cells", "net_fwd_cells",
+          "net_in_flight_cells", "net_backlog_cells", "net_delivered_bits")
 
 
 def run_with_telemetry(sample_every=1, load=0.5, flows=150):
@@ -13,159 +19,72 @@ def run_with_telemetry(sample_every=1, load=0.5, flows=150):
         node_bandwidth_bps=net.reference_node_bandwidth_bps,
         mean_flow_bits=200_000, truncation_bits=2_000_000, seed=3,
     ))
-    telemetry = Telemetry(sample_every=sample_every)
-    result = net.run(workload.generate(flows), telemetry=telemetry)
-    return net, result, telemetry
+    obs = Observation(registry=MetricsRegistry(), sample_every=sample_every)
+    result = net.run(workload.generate(flows), obs=obs)
+    return result, obs
+
+
+def series(obs, name):
+    return obs.registry.gauge(name, track=True).series()
+
+
+def values(obs, name):
+    return [value for _at, value in series(obs, name)]
 
 
 class TestCollection:
     def test_samples_every_epoch_by_default(self):
-        _net, result, telemetry = run_with_telemetry()
-        assert telemetry.n_samples == result.epochs
+        result, obs = run_with_telemetry()
+        epochs = [at for at, _v in series(obs, "net_backlog_cells")]
+        assert epochs == list(range(result.epochs))
 
     def test_sampling_period_thins_series(self):
-        _net, result, telemetry = run_with_telemetry(sample_every=4)
-        assert telemetry.n_samples == pytest.approx(result.epochs / 4,
-                                                    abs=1.0)
+        result, obs = run_with_telemetry(sample_every=4)
+        points = series(obs, "net_backlog_cells")
+        assert len(points) == pytest.approx(result.epochs / 4, abs=1.0)
+        assert all(at % 4 == 0 for at, _v in points)
 
     def test_series_lengths_consistent(self):
-        _net, _result, telemetry = run_with_telemetry()
-        n = telemetry.n_samples
-        assert len(telemetry.local_cells) == n
-        assert len(telemetry.vq_cells) == n
-        assert len(telemetry.fwd_cells) == n
-        assert len(telemetry.in_flight_cells) == n
-        assert len(telemetry.delivered_bits) == n
+        _result, obs = run_with_telemetry()
+        epochs = [at for at, _v in series(obs, "net_backlog_cells")]
+        for name in SERIES:
+            assert [at for at, _v in series(obs, name)] == epochs, name
 
     def test_delivered_bits_monotone(self):
-        _net, _result, telemetry = run_with_telemetry()
-        series = telemetry.delivered_bits
-        assert all(a <= b for a, b in zip(series, series[1:]))
+        _result, obs = run_with_telemetry()
+        delivered = values(obs, "net_delivered_bits")
+        assert all(a <= b for a, b in zip(delivered, delivered[1:]))
 
     def test_backlog_drains_to_zeroish(self):
-        _net, _result, telemetry = run_with_telemetry()
-        backlog = telemetry.backlog_series()
+        _result, obs = run_with_telemetry()
+        backlog = values(obs, "net_backlog_cells")
         assert backlog[-1] <= 2  # final in-flight residue at most
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Telemetry(sample_every=0)
-
-
-class TestAnalysis:
-    def test_summary_and_peaks(self):
-        _net, result, telemetry = run_with_telemetry()
-        summary = telemetry.summary()
-        assert summary["samples"] == telemetry.n_samples
-        # Telemetry's peak is a system-wide (summed) sample; it is
-        # bounded by per-node peak x node count.
-        assert summary["peak_fwd"] <= result.peak_fwd_cells * result.n_nodes
-        assert summary["peak_backlog"] >= summary["peak_fwd"]
-        assert telemetry.time_of_peak("local") is not None
-
-    def test_unknown_series_rejected(self):
-        _net, _result, telemetry = run_with_telemetry()
-        with pytest.raises(ValueError):
-            telemetry.peak("queue-of-dreams")
-
-    def test_throughput_derivative(self):
-        net, _result, telemetry = run_with_telemetry()
-        cells = telemetry.throughput_cells(net.timing.payload_bits)
-        assert len(cells) == telemetry.n_samples
-        assert all(c >= 0 for c in cells)
-        with pytest.raises(ValueError):
-            telemetry.throughput_cells(0)
+        for period in (0, -1):
+            with pytest.raises(ValueError, match="sampling period"):
+                Observation(registry=MetricsRegistry(), sample_every=period)
 
 
 class TestSparkline:
-    def test_length_capped_at_width(self):
-        line = ascii_sparkline(list(range(1000)), width=40)
-        assert len(line) == 40
-
-    def test_short_series_kept_whole(self):
-        assert len(ascii_sparkline([1, 2, 3])) == 3
-
     def test_flat_zero_series(self):
         assert ascii_sparkline([0, 0, 0]).strip() == ""
-
-    def test_peak_maps_to_densest_glyph(self):
-        line = ascii_sparkline([0.0, 1.0])
-        assert line[-1] == "@"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_sparkline([])
-        with pytest.raises(ValueError):
-            ascii_sparkline([1.0], width=0)
-
-
-class _FakeNode:
-    local_cells = 0
-    vq_cells = 0
-    fwd_cells = 0
-
-
-class TestThroughputBaseline:
-    """Regression: the first throughput delta must cover only the first
-    sampled interval, even when telemetry attaches mid-run."""
-
-    def test_fresh_run_first_delta_counts_from_zero(self):
-        telemetry = Telemetry()
-        telemetry.sample(0, [_FakeNode()], 0, 1000.0)
-        telemetry.sample(1, [_FakeNode()], 0, 3000.0)
-        assert telemetry.throughput_cells(1000) == [1.0, 2.0]
-
-    def test_mid_run_attachment_rebases_baseline(self):
-        # 5000 bits were delivered before telemetry attached at epoch
-        # 10; that pre-history must not appear as one interval's burst.
-        telemetry = Telemetry()
-        telemetry.sample(10, [_FakeNode()], 0, 5000.0)
-        telemetry.sample(11, [_FakeNode()], 0, 6000.0)
-        assert telemetry.throughput_cells(1000) == [0.0, 1.0]
-
-    def test_baseline_set_even_when_first_epoch_not_stored(self):
-        # sample_every=4 skips epoch 5's datapoint, but the baseline
-        # still rebases there so epoch 8's delta is pre-history-free.
-        telemetry = Telemetry(sample_every=4)
-        telemetry.sample(5, [_FakeNode()], 0, 9000.0)  # observed, not stored
-        telemetry.sample(8, [_FakeNode()], 0, 9500.0)
-        assert telemetry.n_samples == 1
-        assert telemetry.throughput_cells(1000) == [0.5]
-
-    def test_full_run_throughput_sums_to_delivered(self):
-        net, result, telemetry = run_with_telemetry()
-        payload = net.timing.payload_bits
-        total = sum(telemetry.throughput_cells(payload)) * payload
-        assert total == pytest.approx(result.delivered_bits)
 
 
 class TestEdgeCases:
     def test_sampling_period_longer_than_run(self):
-        _net, result, telemetry = run_with_telemetry(sample_every=10**6)
+        result, obs = run_with_telemetry(sample_every=10**6)
         assert result.epochs < 10**6
-        assert telemetry.n_samples == 1  # epoch 0 only
-        assert telemetry.epochs == [0]
-        summary = telemetry.summary()
-        assert summary["samples"] == 1
+        for name in SERIES:
+            assert [at for at, _v in series(obs, name)] == [0]  # epoch 0 only
 
     def test_empty_run(self):
         net = SiriusNetwork(8, 4, seed=1)
-        telemetry = Telemetry()
-        result = net.run([], telemetry=telemetry)
+        obs = Observation(registry=MetricsRegistry())
+        result = net.run([], obs=obs)
         assert result.delivered_bits == 0
-        assert telemetry.throughput_cells(1) in ([], [0.0])
-        assert telemetry.summary()["peak_backlog"] == 0
-
-    def test_summary_on_fresh_object(self):
-        telemetry = Telemetry()
-        summary = telemetry.summary()
-        assert summary == {
-            "samples": 0, "peak_local": 0, "peak_vq": 0, "peak_fwd": 0,
-            "peak_backlog": 0, "final_backlog": 0,
-        }
-        assert telemetry.throughput_cells(1000) == []
-        assert telemetry.time_of_peak("vq") is None
-        assert telemetry.backlog_series() == []
+        assert values(obs, "net_delivered_bits") in ([], [0.0])
+        assert all(v == 0 for v in values(obs, "net_backlog_cells"))
 
 
 class TestSparklineGuards:

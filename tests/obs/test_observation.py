@@ -17,7 +17,6 @@ from repro import (
     WorkloadConfig,
 )
 from repro.obs import NULL_OBS
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observation import Observation as ObservationClass
 
 
@@ -132,23 +131,6 @@ class TestNetworkIntegration:
         phases = set(profiler.totals_s)
         assert {"deliver", "resolve", "admit", "control",
                 "transmit", "observe"} <= phases
-
-    def test_shared_registry_with_telemetry(self):
-        from repro.core.telemetry import Telemetry
-
-        registry = MetricsRegistry()
-        obs = Observation(registry=registry)
-        telemetry = Telemetry(sample_every=1, registry=registry)
-        net = SiriusNetwork(8, 4, seed=3)
-        workload = FlowWorkload(WorkloadConfig(
-            n_nodes=8, load=0.5,
-            node_bandwidth_bps=net.reference_node_bandwidth_bps, seed=4,
-        ))
-        net.run(workload.generate(40), telemetry=telemetry, obs=obs)
-        # Both views publish into the same registry.
-        names = set(registry.names())
-        assert "telemetry_local_cells" in names
-        assert "net_backlog_cells" in names
 
 
 class TestFluidIntegration:

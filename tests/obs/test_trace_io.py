@@ -156,3 +156,16 @@ class TestFormatting:
         with pytest.raises(ValueError, match="empty"):
             ascii_sparkline([])
         assert ascii_sparkline([5, 5, 5])
+
+    def test_sparkline_length_capped_at_width(self):
+        assert len(ascii_sparkline(list(range(1000)), width=40)) == 40
+
+    def test_sparkline_short_series_kept_whole(self):
+        assert len(ascii_sparkline([1, 2, 3])) == 3
+
+    def test_sparkline_peak_maps_to_densest_glyph(self):
+        assert ascii_sparkline([0.0, 1.0])[-1] == "@"
+
+    def test_sparkline_rejects_zero_width(self):
+        with pytest.raises(ValueError, match="width"):
+            ascii_sparkline([1.0], width=0)
