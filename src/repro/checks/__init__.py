@@ -14,8 +14,9 @@ An AST-based lint engine (stdlib only) with three rule families:
 
 On top of the per-file families, :mod:`repro.checks.flow` adds
 project-wide dataflow analyses (symbol table + call graph + CFGs):
-**dimensional flow** (``F6xx``), **determinism taint** (``T7xx``) and
-the **backend phase-structure check** (``S803``).
+**dimensional flow** (``F6xx``) and **determinism taint** (``T7xx``);
+:mod:`repro.checks.concurrency` checks races, event-loop blocking and
+pickle safety (``C9xx``/``B10xx``/``K11xx``) on the same call graph.
 
 Run as ``python -m repro.checks src/repro`` or via the ``sirius-lint``
 console script; suppress an intentional finding with a trailing

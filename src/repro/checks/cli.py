@@ -23,6 +23,10 @@ Defaults (paths, baseline location, select/ignore) can be set in
     paths = ["src/repro"]
     baseline = "checks_baseline.json"
     ignore = []
+
+A ``--select``/``--ignore`` identifier, given on the command line or in
+the config, that matches no rule is a usage error, and so is a
+``select``/``ignore`` config value that is not a list.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "minimal SARIF 2.1.0 log of the new findings)")
     parser.add_argument("--select", type=str, default=None, metavar="IDS",
                         help="comma-separated rule codes/names/families "
-                             "to run (e.g. 'U101,determinism' or 'D')")
+                             "to run (e.g. 'U101,global-rng' or 'D')")
     parser.add_argument("--ignore", type=str, default=None, metavar="IDS",
                         help="comma-separated rule codes/names/families "
                              "to skip")
@@ -212,12 +216,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     root = find_project_root()
     config = load_config(root)
 
+    for key in ("select", "ignore"):
+        if not isinstance(config.get(key, []), list):
+            print(f"sirius-lint: [tool.repro.checks] {key} must be a list "
+                  "of rule identifiers", file=sys.stderr)
+            return 2
     select = _split_idents(args.select)
     ignore = _split_idents(args.ignore)
-    if select is None and isinstance(config.get("select"), list):
-        select = [str(item) for item in config["select"]] or None
-    if ignore is None and isinstance(config.get("ignore"), list):
-        ignore = [str(item) for item in config["ignore"]] or None
+    if select is None:
+        select = [str(item) for item in config.get("select", [])] or None
+    if ignore is None:
+        ignore = [str(item) for item in config.get("ignore", [])] or None
+    # A misspelled or retired identifier must not quietly lint less.
+    for flag, idents in (("--select", select), ("--ignore", ignore)):
+        unknown = [ident for ident in idents or () if ident.strip()
+                   and not filter_rules(ALL_RULES, select=[ident])]
+        if unknown:
+            print(f"sirius-lint: {flag} matched no rules for "
+                  f"{', '.join(unknown)}", file=sys.stderr)
+            return 2
 
     paths = list(args.paths)
     if not paths:

@@ -3,14 +3,12 @@
 ``repro.checks.flow`` sits beneath the rule engine: it builds a
 project-wide symbol table and call graph (:mod:`.project`), per-function
 control-flow graphs (:mod:`.cfg`) and a small forward-dataflow framework
-(:mod:`.dataflow`), then layers three project-rule families on top:
+(:mod:`.dataflow`), then layers two project-rule families on top:
 
 * ``F6xx`` (:mod:`.dimension_rules`) — physical-dimension inference and
   cross-function dimension-mismatch detection;
 * ``T7xx`` (:mod:`.taint_rules`) — determinism taint: can wall-clock /
   entropy / hash-order nondeterminism reach a simulation run?
-* ``S803`` (:mod:`.parity_rules`) — backend phase structure: do the
-  cell simulator's epoch loops profile one phase vocabulary?
 """
 
 from repro.checks.flow.cfg import CFG, build_cfg
@@ -23,12 +21,11 @@ from repro.checks.flow.dimension_rules import (
     DIMENSION_FLOW_RULES,
     DimensionInference,
 )
-from repro.checks.flow.parity_rules import PARITY_RULES
 from repro.checks.flow.project import FunctionInfo, Project
 from repro.checks.flow.taint_rules import TAINT_FLOW_RULES, TaintAnalysis
 
 #: Every project-level rule this package provides, in report order.
-FLOW_RULES = [*DIMENSION_FLOW_RULES, *TAINT_FLOW_RULES, *PARITY_RULES]
+FLOW_RULES = [*DIMENSION_FLOW_RULES, *TAINT_FLOW_RULES]
 
 __all__ = [
     "CFG",
@@ -37,7 +34,6 @@ __all__ = [
     "FLOW_RULES",
     "ForwardAnalysis",
     "FunctionInfo",
-    "PARITY_RULES",
     "Project",
     "ReachingDefinitions",
     "TAINT_FLOW_RULES",

@@ -19,8 +19,8 @@ This module builds the whole-program structures those analyses share:
   implicit edge to each directly nested ``def`` (closures are assumed
   callable from their definition scope).
 
-Everything is derived once per :class:`Project` and shared by the F6xx,
-T7xx and S8xx rule families.
+Everything is derived once per :class:`Project` and shared by the F6xx
+and T7xx rule families and the concurrency families.
 """
 
 from __future__ import annotations

@@ -30,12 +30,10 @@ live under :mod:`repro.checks.flow`.  The recipe:
    the anchoring line, even for findings whose cause is in another
    file;
 5. give the rule a code in the flow ranges (``F6xx`` dimensions,
-   ``T7xx`` determinism taint, ``S8xx`` backend phase structure, ``C9xx``
-   concurrency, ``B10xx`` async-blocking, ``K11xx`` pickle-safety,
-   ``M12xx`` snapshot-completeness, ``N13xx`` protocol-conformance,
-   ``W14xx`` backend state parity, or a new family), append the
-   instance to the family list in its module, and add the family list
-   here;
+   ``T7xx`` determinism taint, ``C9xx`` concurrency, ``B10xx``
+   async-blocking, ``K11xx`` pickle-safety, or a new family), append
+   the instance to the family list in its module, and add the family
+   list here;
 6. test it with :func:`repro.checks.engine.check_project_source`,
    passing a ``{relpath: source}`` dict — one fixture with the injected
    bug, one clean twin that must stay silent.
@@ -52,14 +50,13 @@ from repro.checks.flow import FLOW_RULES
 from repro.checks.invariant_rules import INVARIANT_RULES
 from repro.checks.obs_rules import OBS_RULES
 from repro.checks.perf_rules import PERF_RULES
-from repro.checks.state import STATE_RULES
 from repro.checks.units_rules import UNITS_RULES
 
 __all__ = ["ALL_RULES", "rules_by_code"]
 
 ALL_RULES: List[Rule] = [
     *UNITS_RULES, *DETERMINISM_RULES, *INVARIANT_RULES, *OBS_RULES,
-    *PERF_RULES, *FLOW_RULES, *CONCURRENCY_RULES, *STATE_RULES,
+    *PERF_RULES, *FLOW_RULES, *CONCURRENCY_RULES,
 ]
 
 

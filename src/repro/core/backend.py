@@ -24,33 +24,11 @@ Resolution order for the effective backend:
 from __future__ import annotations
 
 import os
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["BACKENDS", "BACKEND_ENV", "EpochEngine", "FLUID_BACKENDS",
-           "resolve_backend", "resolve_fluid_backend"]
+__all__ = ["BACKENDS", "BACKEND_ENV", "FLUID_BACKENDS", "resolve_backend",
+           "resolve_fluid_backend"]
 
-
-class EpochEngine(Protocol):
-    """The contract every epoch-loop strategy implements.
-
-    :class:`repro.core.network.SiriusNetwork` (the ``reference`` loop)
-    and :class:`repro.core.vectorized.VectorizedEngine` both satisfy
-    this surface; the parity suite pins their results bit-identical.
-    Annotations stay loose because this module sits below the engines
-    in the import order — ``flows`` is a sorted sequence of
-    :class:`repro.core.cell.Flow` and the return value a
-    :class:`repro.core.ledger.SimulationResult`.
-    """
-
-    def run(self, flows: Sequence, *,
-            max_epochs: Optional[int] = None,
-            drain_epochs: int = 200_000,
-            check_invariants: bool = False,
-            failure_plan=None,
-            detection_epochs: int = 3,
-            obs=None):
-        """Simulate ``flows`` to completion (or an epoch cap)."""
-        ...
 
 #: The selectable epoch-loop strategies, in reference-first order.
 BACKENDS = ("reference", "vectorized")

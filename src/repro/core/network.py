@@ -47,7 +47,7 @@ import math
 import random
 from typing import List, Optional, Sequence
 
-from repro.core.backend import EpochEngine, resolve_backend
+from repro.core.backend import resolve_backend
 from repro.core.cell import Flow
 from repro.core.congestion import CongestionConfig
 from repro.core.failures import FailurePlan
@@ -58,7 +58,7 @@ from repro.obs.observation import NULL_OBS, Observation
 from repro.topology.sirius import SiriusTopology
 
 
-class SiriusNetwork(EpochEngine):
+class SiriusNetwork:
     """A simulated Sirius deployment: topology + schedule + protocol.
 
     Parameters

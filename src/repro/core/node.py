@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.cell import Cell
 from repro.core.congestion import (
@@ -144,11 +144,13 @@ class SiriusNode:
         self.requested: Dict[int, int] = {}
         # Request batches awaiting resolution, oldest first.  A batch
         # appended during epoch e is popped (resolved) by the apply phase
-        # of epoch e + REQUEST_ROUND_TRIP_EPOCHS, so the deque is primed
-        # with that many empty placeholders.
-        self._sent_request_history: Deque[Counter] = deque(
-            Counter() for _ in range(REQUEST_ROUND_TRIP_EPOCHS)
-        )
+        # of epoch e + REQUEST_ROUND_TRIP_EPOCHS, so the history is primed
+        # with that many ``None`` placeholders, empty batches that
+        # allocate nothing.  Popping the head of so short a list costs
+        # no more than a deque's popleft, and the list is a tenth of a
+        # deque's size (~80 B against ~770 B a node).
+        self._sent_request_history: List[Optional[Counter]] = (
+            [None] * REQUEST_ROUND_TRIP_EPOCHS)
 
         # Granted first-hop cells per intermediate.
         self.vq: Dict[int, Deque[Cell]] = {}
@@ -294,13 +296,14 @@ class SiriusNode:
 
         The reference loop pops one request batch and appends one per
         epoch; a skipped idle epoch leaves both sides empty, so popping
-        a single empty placeholder per missed epoch restores the exact
-        deque the reference loop would hold.  The vectorized engine
+        a single empty placeholder per missed epoch restores the history
+        the reference loop would hold (a ``None`` placeholder and an
+        empty :class:`Counter` resolve alike).  The vectorized engine
         calls this when an idle node re-activates mid-epoch (cells
         admitted or grants received after the resolve phase ran).
         """
         if self._sent_request_history:
-            self._sent_request_history.popleft()
+            self._sent_request_history.pop(0)
 
     # ------------------------------------------------------------------
     # Phase: resolve the previous round's requests (grants + expiries)
@@ -310,9 +313,11 @@ class SiriusNode:
         the same (oldest) batch so their cells become requestable again."""
         if self.config.ideal:
             return
-        resolved = self._sent_request_history.popleft() if (
+        resolved = self._sent_request_history.pop(0) if (
             self._sent_request_history
-        ) else Counter()
+        ) else None
+        if resolved is None:
+            resolved = Counter()
         for _intermediate, dst in self.grant_inbox:
             if dst in self.excluded or _intermediate in self.excluded:
                 # Grant referencing a failed node: the reservation was
@@ -742,10 +747,7 @@ class SiriusNode:
         self._direct_outstanding.clear()
         self.request_inbox.clear()
         self.grant_inbox.clear()
-        self._sent_request_history.clear()
-        self._sent_request_history.extend(
-            Counter() for _ in range(REQUEST_ROUND_TRIP_EPOCHS)
-        )
+        self._sent_request_history[:] = [None] * REQUEST_ROUND_TRIP_EPOCHS
         return transit, own
 
     # ------------------------------------------------------------------

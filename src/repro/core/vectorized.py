@@ -51,7 +51,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend import EpochEngine
 from repro.core.cell import Flow
 from repro.core.congestion import DIRECT_GRANT_WINDOW
 from repro.core.failures import FailurePlan
@@ -61,7 +60,7 @@ from repro.obs.observation import NULL_OBS, Observation
 __all__ = ["VectorizedEngine"]
 
 
-class VectorizedEngine(EpochEngine):
+class VectorizedEngine:
     """Run one :class:`SiriusNetwork` simulation on numpy slabs.
 
     The engine is constructed per run from the owning network and

@@ -67,10 +67,6 @@ class SlotLevelSirius(SiriusNetwork):
             )
 
     # -- main loop -------------------------------------------------------------
-    # Deliberately narrows the EpochEngine surface: the slot-level
-    # validator models neither failures nor observation, and passing it
-    # where those matter should fail loudly rather than silently no-op.
-    # lint: ignore[N1302]
     def run(self, flows: Sequence[Flow], *,
             max_epochs: Optional[int] = None,
             drain_epochs: int = 50_000,

@@ -1,5 +1,6 @@
 """Git-diff-aware file selection (``sirius-lint --changed-only``)."""
 
+import json
 import subprocess
 
 import pytest
@@ -119,67 +120,45 @@ class TestCliChangedOnly:
 
     def test_cross_file_closures_stay_sound(self, repo, monkeypatch,
                                             capsys):
-        # The reference loop delegates its node writes to Node.deliver
-        # in an *unchanged* file while the vectorized sibling writes
-        # inline.  Touching only the vectorized file must not invent
-        # W14xx parity findings from a call graph truncated to the
-        # changed files — project rules see the whole tree and only the
-        # report is narrowed.
+        # The entry point SiriusNetwork.run sits in an *unchanged* file
+        # and reaches jitter() in the touched one.  The wall-clock read
+        # the change adds to jitter() is a T701 finding only through
+        # that call edge, so it must be reported: project rules see the
+        # whole tree and only the report is narrowed.  A call graph
+        # truncated to the changed files has no entry point to reach it.
         pkg = repo / "src" / "repro"
-        (pkg / "nodes.py").write_text(
-            "class Node:\n"
-            "    def __init__(self, config):\n"
-            "        self.config = config\n"
-            "        self.depth = 0\n"
-            "        self.inbox = []\n"
+        (pkg / "core").mkdir()
+        (pkg / "phy").mkdir()
+        (pkg / "core" / "network.py").write_text(
+            "from repro.phy.noise import jitter\n"
             "\n"
-            "    def deliver(self, flows):\n"
-            "        self.inbox.append(flows)\n"
-            "        self.depth += 1\n"
-            "        return len(self.inbox)\n"
+            "class SiriusNetwork:\n"
+            "    def run(self, flows, log):\n"
+            "        return [jitter(flow, log) for flow in flows]\n"
         )
-        (pkg / "net.py").write_text(
-            "class Network:\n"
-            "    def __init__(self, config):\n"
-            "        self.config = config\n"
-            "        self.nodes = []\n"
-            "\n"
-            "    def run(self, flows, obs):\n"
-            "        prof = obs.profiler\n"
-            "        t = prof.start_run()\n"
-            "        delivered = 0\n"
-            "        for node in self.nodes:\n"
-            "            delivered += node.deliver(flows)\n"
-            "        t = prof.lap('deliver', t)\n"
-            "        prof.lap('transmit', t)\n"
-            "        return delivered\n"
-        )
-        (pkg / "vec.py").write_text(
-            "class VecEngine:\n"
-            "    def __init__(self, network):\n"
-            "        self.net = network\n"
-            "\n"
-            "    def run(self, flows, obs):\n"
-            "        prof = obs.profiler\n"
-            "        t = prof.start_run()\n"
-            "        delivered = 0\n"
-            "        nodes = self.net.nodes\n"
-            "        for node in nodes:\n"
-            "            node.inbox.append(flows)\n"
-            "            node.depth += 1\n"
-            "            delivered += len(node.inbox)\n"
-            "        t = prof.lap('deliver', t)\n"
-            "        prof.lap('transmit', t)\n"
-            "        return delivered\n"
+        noise = pkg / "phy" / "noise.py"
+        noise.write_text(
+            "def jitter(flow, log):\n"
+            "    return flow\n"
         )
         _git(repo, "add", "-A")
-        _git(repo, "commit", "-q", "-m", "two backends")
-        vec = pkg / "vec.py"
-        vec.write_text(vec.read_text() + "\n# touched\n")
+        _git(repo, "commit", "-q", "-m", "entry point and helper")
+        noise.write_text(
+            "import time\n"
+            "\n"
+            "def jitter(flow, log):\n"
+            "    log.append(time.time())\n"
+            "    return flow\n"
+        )
         monkeypatch.chdir(repo)
-        exit_code = main(["--changed-only", "--no-baseline"])
-        out = capsys.readouterr().out
-        assert exit_code == 0, out
+        exit_code = main(["--changed-only", "--no-baseline",
+                          "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert exit_code == 1
+        assert [(f["rule"], f["path"], f["line"])
+                for f in payload["findings"]] == [
+            ("T701", "src/repro/phy/noise.py", 4)]
+        assert "SiriusNetwork.run" in payload["findings"][0]["message"]
 
     def test_outside_git_is_a_usage_error(self, tmp_path, monkeypatch,
                                           capsys):

@@ -139,7 +139,7 @@ class TestRegistry:
 
         families = {rule_family(rule) for rule in ALL_RULES}
         assert families == {"U1", "D2", "I3", "O4", "P5", "F6", "T7",
-                            "S8", "C9", "B10", "K11", "M12", "N13", "W14"}
+                            "C9", "B10", "K11"}
 
     def test_unit_rules_exported(self):
         assert any(isinstance(rule, UnitLiteralRule) for rule in UNITS_RULES)
@@ -199,8 +199,8 @@ class TestFamilyPrefixFiltering:
         assert "U101" in codes
 
     def test_family_prefix_combines_with_exact_code(self):
-        rules = filter_rules(ALL_RULES, select=["S8", "D201"])
-        assert {r.code for r in rules} == {"S803", "D201"}
+        rules = filter_rules(ALL_RULES, select=["T7", "D201"])
+        assert {r.code for r in rules} == {"T701", "T702", "D201"}
 
     def test_rule_names_are_not_treated_as_prefixes(self):
         # "unit-literal" must match only its own rule, never act as a

@@ -16,6 +16,7 @@ from pathlib import Path
 from repro.checks import diff_against_baseline, load_baseline, run_checks
 from repro.checks.baseline import DEFAULT_BASELINE_NAME
 from repro.checks.cli import main
+from repro.checks.engine import rule_family
 from repro.checks.registry import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -64,31 +65,6 @@ class TestSelfCheck:
             f"full-repo lint took {elapsed:.1f}s; the parse cache and "
             "shared analyses should keep it interactive (<4s)"
         )
-
-    def test_state_families_clean_with_no_baseline_escape(self):
-        # The sirius-state layer (M12xx snapshot-completeness, N13xx
-        # protocol-conformance, W14xx backend state parity) must hold
-        # the whole repo — including the test tree — at zero findings,
-        # with deliberate narrowings annotated in source, not baselined.
-        from repro.checks import filter_rules
-
-        rules = filter_rules(ALL_RULES, select=["M12", "N13", "W14"])
-        assert len(rules) == 9
-        findings = run_checks([*LINT_PATHS, REPO_ROOT / "tests"], rules,
-                              root=REPO_ROOT)
-        assert findings == [], (
-            "sirius-state findings:\n"
-            + "\n".join(f.render() for f in findings)
-        )
-
-    def test_state_families_selectable_via_cli(self, capsys):
-        # ``--select M12,N13,W14`` narrows the run; entries the
-        # baseline holds for *other* families must not read as stale.
-        argv = [str(path) for path in LINT_PATHS]
-        exit_code = main(argv + ["--select", "M12,N13,W14"])
-        out = capsys.readouterr().out
-        assert exit_code == 0, out
-        assert "stale" not in out
 
     def test_serve_tree_clean_for_concurrency_families(self):
         # The live service is the repo's only always-async surface; the
@@ -184,6 +160,54 @@ class TestCliContract:
              "--no-baseline", "--ignore", "U101")
         assert result.returncode == 0
 
+    def test_unknown_select_identifier_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text("def f(t_s):\n    return t_s / 1e-6\n")
+        exit_code = main([str(bad), "--no-baseline", "--select", "U1,ZZ9"])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert "--select" in err and "ZZ9" in err and "U1," not in err
+
+    def test_unknown_ignore_identifier_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        exit_code = main([str(clean), "--no-baseline",
+                          "--ignore", "D203,ZZ9,no-such-rule"])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert "--ignore" in err and "ZZ9, no-such-rule" in err
+
+    def test_unknown_configured_identifier_is_a_usage_error(
+            self, tmp_path, monkeypatch, capsys):
+        # A config entry that names no registered family (here W14)
+        # must not make the run quietly lint less than it says.
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.repro.checks]\npaths = ['pkg']\n"
+            "select = ['U1', 'W14']\nignore = []\n")
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "mod.py").write_text("x = 1\n")
+        monkeypatch.chdir(tmp_path)
+        exit_code = main(["--no-baseline"])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert "--select" in err and "W14" in err
+
+    def test_configured_selector_must_be_a_list(self, tmp_path, monkeypatch,
+                                                capsys):
+        # A bare string is no list of identifiers; passing over it
+        # would run the very rules the config means to leave out.
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.repro.checks]\npaths = ['pkg']\nignore = 'U1'\n")
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "mod.py").write_text("x = 1\n")
+        monkeypatch.chdir(tmp_path)
+        exit_code = main(["--no-baseline"])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert "ignore must be a list" in err
+
     def test_write_baseline_then_clean(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def f(t_s):\n    return t_s / 1e-6\n")
@@ -270,9 +294,9 @@ class TestStatsAndSarifOut:
         assert payload["files"] > 0
         assert payload["passes_s"]["total"] > 0
         assert payload["passes_s"]["project_rules"] >= 0
-        # Every family is charged wall time even at zero findings —
-        # proof the fourth (sirius-state) layer actually ran.
-        for family in ("U1", "M12", "N13", "W14"):
+        # Every registered family is charged wall time, also the ones
+        # with zero findings on this tree — proof each layer ran.
+        for family in {rule_family(rule) for rule in ALL_RULES}:
             assert family in payload["families"], sorted(payload["families"])
             assert payload["families"][family]["rule_s"] >= 0
 

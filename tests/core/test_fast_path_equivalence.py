@@ -11,6 +11,8 @@ scenario and a scale ladder (16/64/256 nodes); the fluid simulator's
 incremental engine gets the same treatment.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -233,13 +235,13 @@ class TestFluidEquivalence:
 
     @staticmethod
     def _fluid_fingerprint(result):
-        return (
-            result.duration_s,
-            result.delivered_bits,
-            tuple(
-                (f.flow_id, f.completion_time) for f in result.flows
-            ),
+        # Every FluidResult field; the flows by id and completion time.
+        fingerprint = {field.name: getattr(result, field.name)
+                       for field in dataclasses.fields(result)}
+        fingerprint["flows"] = tuple(
+            (f.flow_id, f.completion_time) for f in result.flows
         )
+        return fingerprint
 
     def test_flat_network_identical(self):
         fast, reference = self._pair()

@@ -4,8 +4,9 @@ The engine-equivalence suite pins the ``SimulationResult`` of the two
 cell backends; this pins what an attached :class:`Observation` records.
 Both backends run the same :class:`repro.core.node.SiriusNode`
 operations in the same order, so the traced events and every metric
-must match exactly — except ``run_heartbeat_s`` and the profiler's
-laps, which are wall-clock.
+must match exactly — except ``run_heartbeat_s`` and the profiler's lap
+times, which are wall-clock.  The profilers must still name the same
+phases, so a per-phase comparison across backends stays meaningful.
 """
 
 import pytest
@@ -31,6 +32,10 @@ SCENARIOS = {
     "bounded-local": dict(local_capacity_cells=16),
 }
 
+#: The profiler phases every cell backend charges its time to.
+PHASES = {"setup", "failures", "deliver", "resolve", "admit", "control",
+          "transmit", "observe", "finalize"}
+
 
 def _observed_run(backend, failure_plan=False, **net_kwargs):
     net = SiriusNetwork(16, 4, seed=5, backend=backend, **net_kwargs)
@@ -46,18 +51,20 @@ def _observed_run(backend, failure_plan=False, **net_kwargs):
               for e in obs.tracer.events]
     metrics = [sample for sample in obs.registry.collect()
                if sample["name"] != "run_heartbeat_s"]
-    return events, metrics
+    return events, metrics, set(obs.profiler.totals_s)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_observed_runs_agree_across_backends(scenario):
     runs = {backend: _observed_run(backend, **SCENARIOS[scenario])
             for backend in BACKENDS}
-    events, metrics = runs["reference"]
+    events, metrics, phases = runs["reference"]
     assert events and metrics
-    for backend, (other_events, other_metrics) in runs.items():
+    assert phases == PHASES
+    for backend, (other_events, other_metrics, other_phases) in runs.items():
         assert other_events == events, f"{backend} traced other events"
         assert other_metrics == metrics, f"{backend} recorded other metrics"
+        assert other_phases == phases, f"{backend} profiled other phases"
     names = {sample["name"] for sample in metrics}
     assert {"cells_transmitted_total", "delivered_bits_total"} <= names
     if scenario != "ideal":

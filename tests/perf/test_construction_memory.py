@@ -15,9 +15,11 @@ from repro.core.network import SiriusNetwork
 from repro.core.schedule import CyclicSchedule
 from repro.topology import SiriusTopology
 
-#: ``SiriusNetwork(4096, 64, uplink_multiplier=1.5)``: 9.4 MB measured
-#: (the per-node state of 4096 nodes); the stored uplinks took 121 MB.
-NETWORK_4096_PEAK_MB = 24
+#: ``SiriusNetwork(4096, 64, uplink_multiplier=1.5)``: 6.0 MB measured
+#: (the per-node state of 4096 nodes).  A deque of fresh ``Counter``
+#: placeholders per node for the request history took 9.4 MB, and the
+#: stored uplinks took 121 MB.
+NETWORK_4096_PEAK_MB = 8
 #: ``SiriusTopology(32768, 128, uplink_multiplier=2)`` plus its
 #: contention check: 5.4 MB measured; 16.8 M stored uplinks would take
 #: gigabytes.
